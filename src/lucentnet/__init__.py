@@ -14,11 +14,12 @@ from .reachability import (BoundednessResult, ExplorationLimits,
                            ReachabilityGraph, UnboundednessWitness, Verdict,
                            bound_k, dead_places, dead_transitions, explore,
                            home_markings, is_bounded, is_deadlock_free,
-                           is_live, is_perpetual, is_safe)
+                           is_live, is_live_and_bounded, is_perpetual,
+                           is_safe)
 from .lucency import (AgreementSplit, ConflictPair, LucencyVerdict,
                       agreement_split, check_lucency, check_no_dominating,
                       check_pairwise_incomparable, derive_conflict_pair,
-                      find_conflict_pairs, footprint, is_fully_transparent,
+                      find_conflict_pairs, is_fully_transparent,
                       is_transparent_marking, verify_conflict_pair)
 from .paths import (DisentangledPath, Expedition, Path, RootedPathResult,
                     can_expedite, disentangle, expedite, expedite_split,

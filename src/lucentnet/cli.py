@@ -29,9 +29,14 @@ def _common(parser):
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_net(fh.read())
-    net, m0 = doc.to_net()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    doc = parse_net(text)
+    net, m0 = doc.to_net()  # built once already, to validate the document
     return doc.name, net, m0
 
 
@@ -72,7 +77,10 @@ def main(argv=None) -> int:
     _common(p_suite)
 
     args = parser.parse_args(argv)
-    limits = ExplorationLimits(max_states=args.max_states)
+    try:
+        limits = ExplorationLimits(max_states=args.max_states)
+    except ValueError:
+        parser.error("--max-states must be a positive integer")  # exits with 2
 
     try:
         if args.command == "analyze":

@@ -21,7 +21,8 @@ from .net import (Marking, PetriNet, connectivity, enabled_transitions, fire,
                   is_free_choice, is_proper, mrk, net_class, sequence_enabled)
 from .reachability import (ExplorationLimits, explore, bound_k,
                            dead_places, dead_transitions, is_deadlock_free,
-                           is_live, is_perpetual, is_safe, home_markings)
+                           is_live, is_perpetual, is_safe, home_markings,
+                           strong_components)
 from . import homecluster, lucency, paths
 
 Expectation = Tuple[str, object, str]
@@ -281,7 +282,7 @@ def verify_reference_net(ref: ReferenceNet,
         if prop == "reachable_markings":
             return set(rg.states)
         if prop == "distinct_footprints":
-            return len({lucency.footprint(net, m) for m in rg.states})
+            return len({rg.enabled(i) for i in range(len(rg.states))})
         if prop == "lucent":
             return luc.lucent
         if prop == "lucency_witness":
@@ -316,7 +317,7 @@ def verify_reference_net(ref: ReferenceNet,
             v = lucency.is_fully_transparent(net, m0, limits, rg=rg)
             if v.witness is None:
                 return None
-            return (v.witness, tuple(sorted(lucency.footprint(net, v.witness))))
+            return (v.witness, tuple(sorted(enabled_transitions(net, v.witness))))
         if prop == "conflict_pair":
             pairs = lucency.find_conflict_pairs(net, m0, limits, rg=rg)
             return {(p.m1, p.m2) for p in pairs}
@@ -440,76 +441,31 @@ def generate(params: GeneratorParams) -> Tuple[PetriNet, Marking]:
     if params.force_strongly_connected:
         for _ in range(100):
             net = PetriNet(all_places, all_trans, arcs)
-            rg_like = {x: sorted(net.postset(x)) for x in net.nodes()}
-            comps = _strong_components(net.nodes(), rg_like)
-            if len(comps) == 1:
+            nodes = net.nodes()
+            pos = {x: k for k, x in enumerate(nodes)}
+            succ = [[pos[y] for y in sorted(net.postset(x))] for x in nodes]
+            comp = strong_components(succ)
+            n_comps = max(comp) + 1
+            if n_comps == 1:
                 break
-            comp_of = {x: i for i, c in enumerate(comps) for x in c}
-            outgoing = {i: False for i in range(len(comps))}
-            incoming = {i: False for i in range(len(comps))}
-            for x in net.nodes():
-                for y in rg_like[x]:
-                    if comp_of[x] != comp_of[y]:
-                        outgoing[comp_of[x]] = True
-                        incoming[comp_of[y]] = True
-            sinks = [i for i in range(len(comps)) if not outgoing[i]]
-            sources = [i for i in range(len(comps)) if not incoming[i]]
-            sink = sinks[0]
-            source = next((s for s in sources if s != sink), None)
+            outgoing = [False] * n_comps
+            incoming = [False] * n_comps
+            for k, js in enumerate(succ):
+                for j in js:
+                    if comp[k] != comp[j]:
+                        outgoing[comp[k]] = True
+                        incoming[comp[j]] = True
+            sink = outgoing.index(False)
+            source = next((i for i in range(n_comps) if not incoming[i] and i != sink), None)
             if source is None:
-                source = next(i for i in range(len(comps)) if i != sink)
-            t = min(x for x in comps[sink] if net.is_transition(x))
-            p = min(x for x in comps[source] if net.is_place(x))
+                source = next(i for i in range(n_comps) if i != sink)
+            t = min(x for k, x in enumerate(nodes) if comp[k] == sink and net.is_transition(x))
+            p = min(x for k, x in enumerate(nodes) if comp[k] == source and net.is_place(x))
             arcs.append((t, p))
 
     net = PetriNet(all_places, all_trans, arcs)
     cluster = rng.choice(net.clusters())
     return net, mrk(cluster)
-
-
-def _strong_components(nodes, succ):
-    """Kosaraju over an arbitrary node set; returns a list of node sets."""
-    nodes = list(nodes)
-    pred: Dict[str, list] = {x: [] for x in nodes}
-    for x in nodes:
-        for y in succ[x]:
-            pred[y].append(x)
-    order = []
-    seen = set()
-    for s in nodes:
-        if s in seen:
-            continue
-        seen.add(s)
-        stack = [(s, iter(succ[s]))]
-        while stack:
-            v, it = stack[-1]
-            pushed = False
-            for w in it:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(succ[w])))
-                    pushed = True
-                    break
-            if not pushed:
-                order.append(v)
-                stack.pop()
-    comps = []
-    assigned = set()
-    for s in reversed(order):
-        if s in assigned:
-            continue
-        comp = {s}
-        assigned.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in pred[v]:
-                if w not in assigned:
-                    assigned.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 # -- the suite ----------------------------------------------------------------

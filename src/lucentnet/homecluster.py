@@ -20,8 +20,8 @@ from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
 from .net import (Cluster, Marking, PetriNet, is_free_choice, is_proper, mrk)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
-                           explore, home_markings, is_bounded,
-                           is_deadlock_free, is_live, is_safe)
+                           explore, is_deadlock_free, is_live,
+                           is_live_and_bounded, is_safe)
 
 
 def conn(net: PetriNet, m0: Marking) -> FrozenSet[str]:
@@ -133,23 +133,18 @@ def is_home_cluster_direct(net: PetriNet, m0: Marking, cluster: Cluster,
     rg = rg or explore(net, m0, limits)
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
-    homes = home_markings(net, rg)
-    return Verdict(mrk(cluster) in set(homes))
+    return Verdict(rg.is_home(mrk(cluster)))
 
 
 def _ring_verdict(sc: ShortCircuitResult, m0: Marking,
                   limits: Optional[ExplorationLimits]) -> Verdict:
-    rg2 = explore(sc.net, m0, limits)
-    live = is_live(sc.net, m0, limits, rg=rg2)
-    bounded = is_bounded(sc.net, m0, limits, rg=rg2)
-    if bounded.value is False:
-        return Verdict(False, reason="short-circuited net is unbounded")
-    if live.value is False:
-        return Verdict(False, reason="short-circuited net is not live",
-                       witness=live.witness)
-    if live.value is None or bounded.value is None:
+    v = is_live_and_bounded(sc.net, m0, limits)
+    if v.value is False:
+        return Verdict(False, reason="short-circuited net is " + v.reason,
+                       witness=v.witness)
+    if v.value is None:
         return Verdict(None, reason="exploration of the short-circuited net incomplete")
-    return Verdict(True)
+    return v
 
 
 def is_home_cluster_short_circuit(net: PetriNet, m0: Marking, cluster: Cluster,
@@ -204,10 +199,11 @@ def find_home_clusters(net: PetriNet, m0: Marking,
     if want_direct:
         rg = rg or explore(net, m0, limits)
     sc_net_ok = want_sc and is_free_choice(net) and m0.is_safe()
-    kept = cleaned = None
+    kept = cleaned = removed = None
     if sc_net_ok:
         try:
             kept = support_closure(net, m0)
+            removed = tuple(sorted(set(net.nodes()) - kept))
             cleaned = clean(net, m0)  # shared by every cluster's ring
         except CleanedNetInvalid:
             sc_net_ok = False
@@ -228,7 +224,6 @@ def find_home_clusters(net: PetriNet, m0: Marking,
             elif not set(cluster.places) | set(cluster.transitions) <= kept:
                 notes.append("short-circuit: cluster does not survive cleaning")
             else:
-                removed = tuple(sorted(set(net.nodes()) - kept))
                 sc = _attach_ring(cleaned, cluster, m0, removed)
                 sc_v = _ring_verdict(sc, m0, limits).value
                 if sc_v is None:
@@ -354,19 +349,11 @@ def check_detection_equivalence(net: PetriNet, m0: Marking, cluster: Cluster,
     except CleanedNetInvalid as exc:
         return CheckResult(name, False, None, str(exc))
     rg2 = explore(sc.net, m0, limits)
-    live = is_live(sc.net, m0, limits, rg=rg2)
-    bounded = is_bounded(sc.net, m0, limits, rg=rg2)
-    live_and_bounded: Optional[bool]
-    if live.value is False or bounded.value is False:
-        live_and_bounded = False
-    elif live.value is None or bounded.value is None:
-        live_and_bounded = None
-    else:
-        live_and_bounded = True
+    live_and_bounded = is_live_and_bounded(sc.net, m0, limits, rg=rg2).value
     grown = extended_cluster(cluster, sc.fresh_transition)
     sc_direct: Optional[bool] = None
     if grown in sc.net.clusters() and rg2.complete:
-        sc_direct = (mrk(grown) in set(home_markings(sc.net, rg2)))
+        sc_direct = rg2.is_home(mrk(grown))
 
     values = [v for v in (direct.value, sc_direct, live_and_bounded) if v is not None]
     if not values:

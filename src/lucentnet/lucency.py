@@ -19,11 +19,6 @@ from .reachability import (ExplorationLimits, ReachabilityGraph, UNBOUNDED,
                            UnboundednessWitness, Verdict, explore)
 
 
-def footprint(net: PetriNet, m: Marking) -> FrozenSet[str]:
-    """The transition set enabled by ``m``; the state signature for lucency."""
-    return enabled_transitions(net, m)
-
-
 @dataclass(frozen=True)
 class LucencyVerdict:
     status: str  # "lucent" | "not-lucent" | "undecided"
@@ -53,7 +48,7 @@ def check_lucency(net: PetriNet, m0: Marking,
         return LucencyVerdict("undecided")
     seen: Dict[FrozenSet[str], int] = {}
     for i, m in enumerate(rg.states):
-        fp = footprint(net, m)
+        fp = rg.enabled(i)
         first = seen.get(fp)
         if first is not None:
             return LucencyVerdict("not-lucent",
@@ -66,8 +61,12 @@ def check_lucency(net: PetriNet, m0: Marking,
 def is_transparent_marking(net: PetriNet, m: Marking) -> bool:
     """All tokens sit in input places of currently enabled transitions,
     one per place; no token is "hidden"."""
+    return _transparent(net, m, enabled_transitions(net, m))
+
+
+def _transparent(net: PetriNet, m: Marking, enabled: FrozenSet[str]) -> bool:
     required = set()
-    for t in footprint(net, m):
+    for t in enabled:
         required |= net.preset(t)
     return m == Marking.of(*required)
 
@@ -77,8 +76,8 @@ def is_fully_transparent(net: PetriNet, m0: Marking,
                          rg: Optional[ReachabilityGraph] = None) -> Verdict:
     """Every reachable marking is transparent; witness = first that is not."""
     rg = rg or explore(net, m0, limits)
-    for m in rg.states:
-        if not is_transparent_marking(net, m):
+    for i, m in enumerate(rg.states):
+        if not _transparent(net, m, rg.enabled(i)):
             return Verdict(False, witness=m)
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
@@ -213,8 +212,8 @@ def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
 
     Returns the verified pair plus the fired sequence.
     """
-    fp1 = footprint(net, m1)
-    fp2 = footprint(net, m2)
+    fp1 = enabled_transitions(net, m1)
+    fp2 = enabled_transitions(net, m2)
     if m1 == m2:
         raise ValueError("markings must differ")
     if fp1 != fp2 or not fp1:

@@ -12,7 +12,7 @@ from some reached marking strictly grows it, the pump can repeat forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
 from .net import (Marking, PetriNet, _fire_unchecked, enabled_list,
@@ -27,10 +27,9 @@ DEFAULT_MAX_STATES = 100_000
 
 @dataclass(frozen=True)
 class ExplorationLimits:
-    """Caps for the exploration; ``max_token_bound`` is diagnostic only."""
+    """Caps for the exploration."""
 
     max_states: int = DEFAULT_MAX_STATES
-    max_token_bound: Optional[int] = None
 
     def __post_init__(self):
         if self.max_states < 1:
@@ -59,26 +58,31 @@ class Verdict:
 
 
 class ReachabilityGraph:
-    """Explored markings plus transition-labeled edges.
+    """Explored markings plus transition-labeled edges, and the facts
+    derived from them: enabled sets, SCCs and home markings, each computed
+    at most once.
 
     ``states[0]`` is the initial marking; every edge ``(i, t, j)`` satisfies
     ``fire(states[i], t) == states[j]``.  When the verdict is ``complete``
-    the graph is the full reachability graph.
+    the graph is the full reachability graph.  The first ``expanded``
+    states had all their successors generated, so their out-edges carry
+    exactly their enabled transitions.
     """
 
-    def __init__(self, net, states, edges, verdict, unbounded_witness=None,
-                 token_cap_exceeded_at=None):
+    def __init__(self, net, states, edges, verdict, unbounded_witness=None, *,
+                 index, expanded):
         self.net: PetriNet = net
         self.states: Tuple[Marking, ...] = tuple(states)
         self.edges: Tuple[Tuple[int, str, int], ...] = tuple(edges)
         self.verdict: str = verdict
         self.unbounded_witness: Optional[UnboundednessWitness] = unbounded_witness
-        self.token_cap_exceeded_at: Optional[int] = token_cap_exceeded_at
-        self.index: Dict[Marking, int] = {m: i for i, m in enumerate(self.states)}
-        out: Dict[int, list] = {i: [] for i in range(len(self.states))}
+        self.index: Dict[Marking, int] = index
+        out: List[list] = [[] for _ in self.states]
         for i, t, j in self.edges:
             out[i].append((t, j))
-        self._out = {i: tuple(v) for i, v in out.items()}
+        self._out = [tuple(v) for v in out]
+        self._expanded = expanded
+        self._enabled: List[Optional[FrozenSet[str]]] = [None] * len(self.states)
         self._terminal_sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
 
@@ -96,10 +100,25 @@ class ReachabilityGraph:
     def contains(self, m: Marking) -> bool:
         return m in self.index
 
-    def enabled(self, i: int):
-        """Enabled set of a state, computed from the net (valid even for
-        states whose successors were never expanded)."""
-        return enabled_transitions(self.net, self.states[i])
+    def enabled(self, i: int) -> FrozenSet[str]:
+        """Enabled set of a state: the labels of its out-edges when it was
+        expanded, otherwise computed from the net.  Cached either way."""
+        en = self._enabled[i]
+        if en is None:
+            if i < self._expanded:
+                en = frozenset(t for t, _ in self._out[i])
+            else:
+                en = enabled_transitions(self.net, self.states[i])
+            self._enabled[i] = en
+        return en
+
+    def is_home(self, m: Marking) -> bool:
+        """``m`` is a home marking: a state of the unique terminal SCC."""
+        if not self.complete:
+            raise UndecidedError(f"home markings need a complete exploration ({self.verdict})")
+        terminal = self.terminal_sccs()
+        i = self.index.get(m)
+        return len(terminal) == 1 and i is not None and i in terminal[0]
 
     # -- strongly connected components ------------------------------------
 
@@ -115,62 +134,68 @@ class ReachabilityGraph:
         return self._terminal_sccs
 
     def _compute_sccs(self):
-        # Kosaraju, iterative: forward postorder, then sweep the transposed
-        # graph in reverse postorder.
-        n = len(self.states)
-        succ = [[j for _, j in self._out[i]] for i in range(n)]
-        pred: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in succ[i]:
-                pred[j].append(i)
-
-        order = []
-        seen = [False] * n
-        for s in range(n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            stack = [(s, iter(succ[s]))]
-            while stack:
-                v, it = stack[-1]
-                pushed = False
-                for w in it:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append((w, iter(succ[w])))
-                        pushed = True
-                        break
-                if not pushed:
-                    order.append(v)
-                    stack.pop()
-
-        comp = [-1] * n
-        label = 0
-        for s in reversed(order):
-            if comp[s] != -1:
-                continue
-            stack = [s]
-            comp[s] = label
-            while stack:
-                v = stack.pop()
-                for w in pred[v]:
-                    if comp[w] == -1:
-                        comp[w] = label
-                        stack.append(w)
-            label += 1
-
+        succ = [[j for _, j in out] for out in self._out]
+        comp = strong_components(succ)
         members: Dict[int, list] = {}
-        for i in range(n):
-            members.setdefault(comp[i], []).append(i)
-        has_exit = set()
-        for i in range(n):
-            for j in succ[i]:
-                if comp[i] != comp[j]:
-                    has_exit.add(comp[i])
-        sccs = sorted((tuple(sorted(v)) for v in members.values()), key=lambda c: c[0])
+        for i, c in enumerate(comp):
+            members.setdefault(c, []).append(i)
+        has_exit = {comp[i] for i, js in enumerate(succ) for j in js if comp[i] != comp[j]}
+        sccs = sorted((tuple(v) for v in members.values()), key=lambda c: c[0])
         self._sccs = tuple(sccs)
         self._terminal_sccs = tuple(c for c in sccs
                                     if comp[c[0]] not in has_exit)
+
+
+def strong_components(succ: Sequence[Sequence[int]]) -> List[int]:
+    """Component label of every node ``0..n-1`` of a digraph given by
+    successor lists.
+
+    Kosaraju, iterative: forward postorder, then a sweep of the transposed
+    graph in reverse postorder.  Components are numbered in discovery
+    order, which is a topological order of the condensation: every edge
+    between two components goes from a smaller label to a larger one.
+    """
+    n = len(succ)
+    pred: List[List[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in succ[i]:
+            pred[j].append(i)
+
+    order = []
+    seen = [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(succ[s]))]
+        while stack:
+            v, it = stack[-1]
+            pushed = False
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    pushed = True
+                    break
+            if not pushed:
+                order.append(v)
+                stack.pop()
+
+    comp = [-1] * n
+    label = 0
+    for s in reversed(order):
+        if comp[s] != -1:
+            continue
+        stack = [s]
+        comp[s] = label
+        while stack:
+            v = stack.pop()
+            for w in pred[v]:
+                if comp[w] == -1:
+                    comp[w] = label
+                    stack.append(w)
+        label += 1
+    return comp
 
 
 def explore(net: PetriNet, m0: Marking,
@@ -190,7 +215,6 @@ def explore(net: PetriNet, m0: Marking,
     edges: List[Tuple[int, str, int]] = []
     verdict = COMPLETE
     witness = None
-    cap_hit = None
 
     def path_from_root(k: int) -> Tuple[str, ...]:
         out = []
@@ -233,17 +257,14 @@ def explore(net: PetriNet, m0: Marking,
                 index[m2] = j
                 parent.append((pos, t))
                 sizes.append(size2)
-                if (limits.max_token_bound is not None and cap_hit is None
-                        and any(n > limits.max_token_bound for _, n in m2.items)):
-                    cap_hit = j
             edges.append((pos, t, j))
         if stop:
             break
         pos += 1
 
+    # the state at ``pos`` is only partly expanded when the search stopped
     return ReachabilityGraph(net, states, edges, verdict,
-                             unbounded_witness=witness,
-                             token_cap_exceeded_at=cap_hit)
+                             unbounded_witness=witness, index=index, expanded=pos)
 
 
 @dataclass(frozen=True)
@@ -346,19 +367,28 @@ def home_markings(net: PetriNet, rg: ReachabilityGraph) -> Tuple[Marking, ...]:
     return tuple(rg.states[i] for i in terminal[0])
 
 
+def is_live_and_bounded(net, m0, limits=None, rg=None) -> Verdict:
+    """Live and bounded; a negative verdict names the property that fails
+    (unboundedness first)."""
+    rg = rg or explore(net, m0, limits)
+    if rg.verdict == UNBOUNDED:
+        return Verdict(False, reason="unbounded")
+    live = is_live(net, m0, limits, rg)
+    if live.value is False:
+        return Verdict(False, reason="not live", witness=live.witness)
+    if live.value is None:
+        return Verdict(None, reason="exploration incomplete")
+    return Verdict(True)
+
+
 def is_perpetual(net, m0, limits=None, rg=None) -> Verdict:
     """Live, bounded, and in possession of a home cluster."""
     from . import homecluster  # late import; homecluster builds on this module
 
     rg = rg or explore(net, m0, limits)
-    live = is_live(net, m0, limits, rg)
-    bounded = is_bounded(net, m0, limits, rg)
-    if bounded.value is False:
-        return Verdict(False, reason="unbounded")
-    if live.value is False:
-        return Verdict(False, reason="not live", witness=live.witness)
-    if live.value is None or bounded.value is None:
-        return Verdict(None, reason="exploration incomplete")
+    live_bounded = is_live_and_bounded(net, m0, limits, rg)
+    if not live_bounded.value:
+        return live_bounded
     report = homecluster.find_home_clusters(net, m0, limits, method="direct", rg=rg)
     if not report.home_clusters:
         return Verdict(False, reason="no home cluster")

@@ -53,8 +53,6 @@ def build_report(name: str, net: PetriNet, m0: Marking,
         "states": len(rg.states),
         "edges": len(rg.edges),
     }
-    if limits.max_token_bound is not None:
-        exploration["token_cap_exceeded_at"] = rg.token_cap_exceeded_at
     if rg.unbounded_witness is not None:
         exploration["unbounded_witness"] = {
             "stem": list(rg.unbounded_witness.stem),
@@ -115,8 +113,7 @@ def build_report(name: str, net: PetriNet, m0: Marking,
         "schema_version": SCHEMA_VERSION,
         "net": name,
         "initial_marking": _marking(m0),
-        "limits": {"max_states": limits.max_states,
-                   "max_token_bound": limits.max_token_bound},
+        "limits": {"max_states": limits.max_states, "max_token_bound": None},
         "exploration": exploration,
         "structural": structural,
         "behavioral": behavioral,

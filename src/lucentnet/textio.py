@@ -8,17 +8,20 @@ Grammar (one statement per line, ``#`` starts a comment):
     arc IDENT -> IDENT
 
 The header must come first; arcs must connect a place and a transition.
+NAT is ASCII digits with a value of at most ``MAX_INIT_TOKENS``.
 Serialization sorts all declarations, so serialize(parse(text)) is a
 fixpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import NetStructureError, ParseError
 from .net import _IDENT, Arc, Marking, PetriNet
+
+MAX_INIT_TOKENS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -27,10 +30,16 @@ class NetDocument:
     places: Tuple[Tuple[str, int], ...]  # (identifier, initial count)
     transitions: Tuple[str, ...]
     arcs: Tuple[Arc, ...]
+    _built: Optional[Tuple[PetriNet, Marking]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def to_net(self) -> Tuple[PetriNet, Marking]:
-        net = PetriNet([p for p, _ in self.places], self.transitions, self.arcs)
-        return net, Marking.from_counts({p: n for p, n in self.places})
+        """The net and its initial marking, built once per document."""
+        if self._built is None:
+            net = PetriNet([p for p, _ in self.places], self.transitions, self.arcs)
+            marking = Marking.from_counts({p: n for p, n in self.places})
+            object.__setattr__(self, "_built", (net, marking))
+        return self._built
 
     def normalized(self) -> "NetDocument":
         return NetDocument(self.name, tuple(sorted(self.places)),
@@ -42,6 +51,7 @@ def parse_net(text: str) -> NetDocument:
     places: List[Tuple[str, int]] = []
     transitions: List[str] = []
     arcs: List[Arc] = []
+    arc_set: Set[Arc] = set()
     declared: Dict[str, str] = {}
 
     def ident(token, lineno):
@@ -65,8 +75,13 @@ def parse_net(text: str) -> NetDocument:
         if kind == "place":
             if len(fields) == 2:
                 init = 0
-            elif len(fields) == 4 and fields[2] == "init" and fields[3].isdigit():
-                init = int(fields[3])
+            elif (len(fields) == 4 and fields[2] == "init"
+                  and fields[3].isascii() and fields[3].isdigit()):
+                digits = fields[3].lstrip("0") or "0"
+                # length first: int() refuses strings of over 4300 digits
+                if len(digits) > len(str(MAX_INIT_TOKENS)) or int(digits) > MAX_INIT_TOKENS:
+                    raise ParseError(lineno, f"initial token count exceeds {MAX_INIT_TOKENS}")
+                init = int(digits)
             else:
                 raise ParseError(lineno, "expected: place IDENT [init NAT]")
             p = ident(fields[1], lineno)
@@ -93,8 +108,9 @@ def parse_net(text: str) -> NetDocument:
             if declared[src] == declared[dst]:
                 raise ParseError(
                     lineno, f"arc {src} -> {dst} must connect a place and a transition")
-            if (src, dst) in arcs:
+            if (src, dst) in arc_set:
                 raise ParseError(lineno, f"duplicate arc {src} -> {dst}")
+            arc_set.add((src, dst))
             arcs.append((src, dst))
         else:
             raise ParseError(lineno, f"unknown statement {kind!r}")

@@ -9,8 +9,8 @@ import time
 from lucentnet import (ExplorationLimits, Marking, build_report,
                        check_detection_equivalence, check_lucency,
                        classify_dead_end, derive_conflict_pair, disentangle,
-                       emit_report, expedited_member, explore,
-                       find_conflict_pairs, find_home_clusters, footprint,
+                       emit_report, enabled_transitions, expedited_member,
+                       explore, find_conflict_pairs, find_home_clusters,
                        home_markings, is_disentangled, is_fully_transparent,
                        is_live, is_perpetual, is_safe, net_class,
                        run_theorem_suite, suite_nets)
@@ -66,7 +66,7 @@ def test_criterion_03_n1_bundle(n1):
     rg, luc, homes, hc, kind, live, perp = _n1_bundle(n1)
     assert luc.lucent is True
     assert len(rg.states) == 4
-    assert len({footprint(n1.net, m) for m in rg.states}) == 4
+    assert len({enabled_transitions(n1.net, m) for m in rg.states}) == 4
     assert set(homes) == {Marking.of("p4")}
     assert [c.places for c in hc.home_clusters] == [("p4",)]
     assert kind == "terminal"
@@ -121,7 +121,7 @@ def test_criterion_06_n5(n5):
     v = is_fully_transparent(n5.net, n5.initial)
     assert v.value is False
     assert v.witness == Marking.of("p4", "p7")
-    assert footprint(n5.net, v.witness) == {"t5"}
+    assert enabled_transitions(n5.net, v.witness) == {"t5"}
     sigma = ("t2", "t5", "t6", "t8", "t8")
     assert expedited_member(n5.net, n5.initial, sigma,
                             ("t2", "t6", "t5", "t8", "t8")).value is True
@@ -144,8 +144,8 @@ def test_criterion_08_conflict_pairs(n3):
     pairs = find_conflict_pairs(n3.net, n3.initial)
     wanted = (Marking.of("p2", "p3", "p5"), Marking.of("p2", "p4", "p5"))
     assert any((p.m1, p.m2) == wanted for p in pairs)
-    assert footprint(n3.net, wanted[0]) == {"t2"}
-    assert footprint(n3.net, wanted[1]) == {"t3"}
+    assert enabled_transitions(n3.net, wanted[0]) == {"t2"}
+    assert enabled_transitions(n3.net, wanted[1]) == {"t3"}
     pair, sigma = derive_conflict_pair(
         n3.net, Marking.of("p1", "p3", "p6"), Marking.of("p1", "p4", "p6"),
         mode="greedy", rg=explore(n3.net, n3.initial))

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 from lucentnet.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -81,3 +83,36 @@ def test_paper_suite_json(capsys):
     assert main(["paper-suite", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert '"anomalies": []' in out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_states_must_be_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lucency", corpus_file("n1"), "--max-states", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-states must be a positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.net"
+    bad.write_bytes(b"net x\nplace p init 1\n# caf\xe9\ntrans t\narc p -> t\n")
+    assert main(["lucency", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "UTF-8" in err
+
+
+def test_file_input_builds_the_net_once(monkeypatch, capsys):
+    from lucentnet import net as net_module
+    built = []
+    init = net_module.PetriNet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(net_module.PetriNet, "__init__", counting)
+    assert main(["lucency", corpus_file("n1")]) == 0
+    capsys.readouterr()
+    assert len(built) == 1

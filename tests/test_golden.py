@@ -1,0 +1,83 @@
+"""Byte-identical outputs against golden files.
+
+The files under ``tests/golden/`` hold the JSON output and exit code of
+every file subcommand on the reference nets, one seeded ``paper-suite``
+run, and a digest of the serialized random suite nets.  A refactor that
+changes none of the program's behaviour leaves them all untouched.
+
+Regenerate them (only for an intended change of output) with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+
+from lucentnet import document_of, serialize_net, suite_nets
+from lucentnet.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+EXIT_CODES = GOLDEN / "exit-codes.json"
+SUITE_DIGEST = GOLDEN / "suite-nets-500-seed0.sha256"
+
+COMMANDS = ("analyze", "lucency", "home-clusters", "reach")
+NETS = ("n1", "n2", "n3", "n4", "n5")
+
+
+def cases():
+    """(golden file name, argv) for every captured CLI run."""
+    out = []
+    for cmd in COMMANDS:
+        for ident in NETS:
+            out.append((f"{cmd}-{ident}.json",
+                        [cmd, str(ROOT / "corpus" / f"{ident}.net"), "--format", "json"]))
+    out.append(("paper-suite-random200-seed7.json",
+                ["paper-suite", "--random", "200", "--seed", "7", "--format", "json"]))
+    return out
+
+
+def run_cli(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return rc, buf.getvalue()
+
+
+def suite_digest() -> str:
+    h = hashlib.sha256()
+    for name, net, m0 in suite_nets(random_count=500, seed=0):
+        h.update(serialize_net(document_of(name, net, m0)).encode())
+    return h.hexdigest() + "\n"
+
+
+def test_cli_outputs_match_golden():
+    codes = json.loads(EXIT_CODES.read_text())
+    for fname, argv in cases():
+        rc, out = run_cli(argv)
+        assert rc == codes[fname], fname
+        assert out == (GOLDEN / fname).read_text(), fname
+
+
+def test_suite_nets_match_golden():
+    assert suite_digest() == SUITE_DIGEST.read_text()
+
+
+def write():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for fname, argv in cases():
+        codes[fname], out = run_cli(argv)
+        (GOLDEN / fname).write_text(out)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    SUITE_DIGEST.write_text(suite_digest())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_golden.py --write")
+    write()

@@ -6,21 +6,21 @@ from lucentnet import (Cluster, Marking, PetriNet,
                        RequiresSafeMarking, agreement_split, check_lucency,
                        check_no_dominating, check_pairwise_incomparable,
                        derive_conflict_pair, enabled_transitions, explore,
-                       find_conflict_pairs, footprint, is_fully_transparent,
+                       find_conflict_pairs, is_fully_transparent,
                        is_transparent_marking, verify_conflict_pair)
 
 
 def test_footprint_examples(n2, n3):
-    assert footprint(n2.net, Marking.of("p2", "p6")) == {"t3"}
-    assert footprint(n2.net, Marking()) == frozenset()
-    assert footprint(n3.net, Marking.of("p1", "p4", "p6")) == {"t1", "t4"}
+    assert enabled_transitions(n2.net, Marking.of("p2", "p6")) == {"t3"}
+    assert enabled_transitions(n2.net, Marking()) == frozenset()
+    assert enabled_transitions(n3.net, Marking.of("p1", "p4", "p6")) == {"t1", "t4"}
 
 
 def test_lucency_n1(n1):
     v = check_lucency(n1.net, n1.initial)
     assert v.lucent is True and v.witness is None
     rg = explore(n1.net, n1.initial)
-    assert len({footprint(n1.net, m) for m in rg.states}) == 4
+    assert len({enabled_transitions(n1.net, m) for m in rg.states}) == 4
 
 
 def test_lucency_n2_witness(n2):
@@ -56,7 +56,7 @@ def test_transparent_marking_examples(n1, n5):
 def test_fully_transparent(n1, n5):
     v5 = is_fully_transparent(n5.net, n5.initial)
     assert v5.value is False and v5.witness == Marking.of("p4", "p7")
-    assert footprint(n5.net, v5.witness) == {"t5"}
+    assert enabled_transitions(n5.net, v5.witness) == {"t5"}
     loop = PetriNet(["p"], ["t"], [("p", "t"), ("t", "p")])
     assert is_fully_transparent(loop, Marking.of("p")).value is True
     # the dead marking [p4] holds a token enabling nothing
@@ -166,7 +166,7 @@ def test_n1_has_no_same_footprint_pair(n1):
     # exhaustive scan: the conversion to a conflict pair is untriggerable
     rg = explore(n1.net, n1.initial)
     for a, b in itertools.combinations(rg.states, 2):
-        assert footprint(n1.net, a) != footprint(n1.net, b)
+        assert enabled_transitions(n1.net, a) != enabled_transitions(n1.net, b)
 
 
 def test_check_no_dominating(n1, n5):

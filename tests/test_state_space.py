@@ -170,7 +170,10 @@ def test_home_markings(n1, n3, n5):
     rg3 = explore(n3.net, n3.initial)
     assert set(home_markings(n3.net, rg3)) == set(rg3.states)
     for ref, rg in ((n1, rg1), (n3, rg3), (n5, explore(n5.net, n5.initial))):
-        assert set(home_markings(ref.net, rg)) == _home_markings_oracle(rg)
+        homes = _home_markings_oracle(rg)
+        assert set(home_markings(ref.net, rg)) == homes
+        assert {m for m in rg.states if rg.is_home(m)} == homes
+    assert not rg1.is_home(Marking.of("p1", "p2", "p3", "p4"))  # never reached
 
 
 def test_home_markings_of_plain_cycle():
@@ -184,6 +187,8 @@ def test_home_markings_need_completeness(n3):
     rg = explore(n3.net, n3.initial, ExplorationLimits(max_states=3))
     with pytest.raises(UndecidedError):
         home_markings(n3.net, rg)
+    with pytest.raises(UndecidedError):
+        rg.is_home(rg.initial)
 
 
 def test_is_perpetual(n1, n3, n5):
@@ -203,3 +208,81 @@ def test_lucent_nets_have_small_complete_state_spaces(n1, n5):
         rg = explore(ref.net, ref.initial)
         assert rg.complete
         assert len(rg.states) <= 2 ** len(ref.net.transitions)
+
+
+def _graph_cases():
+    """(net, graph) pairs covering complete, truncated and unbounded runs."""
+    from lucentnet import all_reference_nets, suite_nets
+    cases = [(ref.net, explore(ref.net, ref.initial)) for ref in all_reference_nets()]
+    cases += [(net, explore(net, m0)) for _, net, m0 in suite_nets(random_count=200, seed=5)]
+    n3 = next(ref for ref in all_reference_nets() if ref.ident == "n3")
+    cases.append((n3.net, explore(n3.net, n3.initial, ExplorationLimits(max_states=3))))
+    net, m0 = unbounded_toy()
+    cases.append((net, explore(net, m0)))
+    return cases
+
+
+def test_graph_enabled_sets_match_net_scan():
+    from lucentnet import enabled_transitions
+    verdicts = set()
+    for net, rg in _graph_cases():
+        verdicts.add(rg.verdict)
+        for i, m in enumerate(rg.states):
+            assert rg.enabled(i) == enabled_transitions(net, m)
+    assert verdicts == {"complete", "truncated", "unbounded"}
+
+
+def test_graph_scans_only_unexpanded_states_once(n3, monkeypatch):
+    from lucentnet import reachability
+    scanned = []
+    scan = reachability.enabled_transitions
+
+    def counting(net, m):
+        scanned.append(m)
+        return scan(net, m)
+
+    monkeypatch.setattr(reachability, "enabled_transitions", counting)
+    full = explore(n3.net, n3.initial)
+    for _ in range(2):
+        for i in range(len(full.states)):
+            full.enabled(i)
+    assert scanned == []
+    cut = explore(n3.net, n3.initial, ExplorationLimits(max_states=3))
+    for _ in range(2):
+        for i in range(len(cut.states)):
+            cut.enabled(i)
+    # the first state is expanded; the second stopped mid-way; the third
+    # was never expanded
+    assert scanned == [cut.states[1], cut.states[2]]
+
+
+def test_strong_components_match_mutual_reachability():
+    import random
+    from lucentnet.reachability import strong_components
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
+        reach = []
+        for s in range(n):
+            seen, stack = {s}, [s]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            reach.append(seen)
+        comp = strong_components(succ)
+        assert sorted(set(comp)) == list(range(len(set(comp))))
+        for a in range(n):
+            for b in range(n):
+                assert (comp[a] == comp[b]) == (b in reach[a] and a in reach[b])
+                if b in succ[a]:
+                    assert comp[a] <= comp[b]  # discovery order is topological
+
+
+def test_exploration_limits_have_one_knob():
+    from dataclasses import fields
+    assert [f.name for f in fields(ExplorationLimits)] == ["max_states"]
+    with pytest.raises(ValueError):
+        ExplorationLimits(max_states=0)

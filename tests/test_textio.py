@@ -130,3 +130,22 @@ def test_comments_and_blank_lines_ignored():
     text = "# heading\nnet x\n\nplace a init 1  # tokens\ntrans t\narc a -> t\n"
     doc = parse_net(text)
     assert doc.places == (("a", 1),)
+
+
+def test_init_must_be_ascii_digits():
+    err = _parse_error("net x\nplace a init ²\ntrans t\narc a -> t\n")
+    assert err.line == 2 and "init NAT" in str(err)
+    err = _parse_error("net x\nplace a init ٣\ntrans t\narc a -> t\n")
+    assert err.line == 2
+
+
+def test_init_count_is_capped():
+    from lucentnet.textio import MAX_INIT_TOKENS
+    ok = parse_net(f"net x\nplace a init {MAX_INIT_TOKENS}\ntrans t\narc a -> t\n")
+    assert ok.places == (("a", MAX_INIT_TOKENS),)
+    for count in (str(MAX_INIT_TOKENS + 1), "99999999999999999999", "9" * 5000):
+        err = _parse_error(f"net x\ntrans t\nplace a init {count}\narc a -> t\n")
+        assert err.line == 3 and "exceeds" in str(err)
+    padded = parse_net("net x\nplace a init " + "0" * 5000 + "7\ntrans t\narc a -> t\n")
+    assert padded.places == (("a", 7),)
+
