@@ -13,7 +13,7 @@ from .net import (Cluster, Marking, PetriNet, connectivity,
 from .reachability import (BoundednessResult, ExplorationLimits,
                            ReachabilityGraph, UnboundednessWitness, Verdict,
                            bound_k, dead_places, dead_transitions, explore,
-                           home_markings, is_bounded, is_deadlock_free,
+                           home_markings, is_deadlock_free,
                            is_live, is_live_and_bounded, is_perpetual,
                            is_safe)
 from .lucency import (AgreementSplit, ConflictPair, LucencyVerdict,

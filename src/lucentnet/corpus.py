@@ -522,17 +522,24 @@ def _run_net_checks(report, name, net, m0, limits, walks_per_net):
     proper = is_proper(net)
     luc = lucency.check_lucency(net, m0, limits, rg=rg)
 
-    # method agreement doubles as the detection-equivalence smoke test
-    try:
-        hc = homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
-        if fc and m0.is_safe() and rg.complete:
-            report.record("detection-methods-agree", "pass", name)
-        else:
-            report.record("detection-methods-agree", "skip", name)
-    except TheoremViolation as exc:
-        report.record("detection-methods-agree", "fail", name, str(exc))
-        hc = homecluster.find_home_clusters(net, m0, limits, method="direct", rg=rg)
-    homes = hc.home_clusters
+    # one ring per cluster, read while it is alive by the method agreement,
+    # the detection equivalence and, for home clusters, the ring's structure
+    # (a sink place reachable besides a non-home cluster refutes its strong
+    # connectivity, so that conclusion only holds for home clusters)
+    checked = fc and proper and m0.is_safe()
+    homes, conflict, struct_results, equiv_results = [], "", [], []
+    for d, ring, graph in homecluster._cluster_walk(net, m0, limits, "both", rg):
+        conflict = conflict or homecluster._disagreement(d)
+        if d.is_home:
+            homes.append(d.cluster)
+        if checked and ring is not None:
+            equiv_results.append(homecluster._judge_equivalence(
+                rg, d.cluster, ring, graph, d.direct, d.short_circuit))
+            if d.is_home:
+                struct_results.append(homecluster._judge_structure(d.cluster, ring))
+        del ring, graph  # two live ring graphs would double peak memory
+    agree = "pass" if fc and m0.is_safe() and rg.complete else "skip"
+    report.record("detection-methods-agree", "fail" if conflict else agree, name, conflict)
 
     # lucency forces a finite, bounded state space
     if luc.lucent is True:
@@ -618,22 +625,8 @@ def _run_net_checks(report, name, net, m0, limits, walks_per_net):
     sc_check = homecluster.check_strongly_connected_home_cluster(net, m0, limits, rg=rg)
     _record_check(report, name, "strongly-connected-home-cluster-live", sc_check)
 
-    if fc and proper and m0.is_safe():
-        kept = homecluster.support_closure(net, m0)
-        applicable = [c for c in net.clusters()
-                      if set(c.places) | set(c.transitions) <= kept]
-        # the strong-connectivity conclusion only holds for home clusters
-        # (a sink place reachable besides a non-home cluster refutes it),
-        # so the structural check is scoped to them
-        struct_results = [homecluster.check_short_circuit_structure(net, c, m0)
-                          for c in homes]
-        equiv_results = [homecluster.check_detection_equivalence(net, m0, c, limits, rg=rg)
-                         for c in applicable]
-        _record_many(report, name, "short-circuit-structure", struct_results)
-        _record_many(report, name, "detection-equivalence", equiv_results)
-    else:
-        report.record("short-circuit-structure", "skip", name)
-        report.record("detection-equivalence", "skip", name)
+    _record_many(report, name, "short-circuit-structure", struct_results)
+    _record_many(report, name, "detection-equivalence", equiv_results)
 
     if fc:
         perp = is_perpetual(net, m0, limits, rg=rg)

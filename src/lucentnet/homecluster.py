@@ -14,11 +14,13 @@ silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Iterator, Optional, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
-from .net import (Cluster, Marking, PetriNet, is_free_choice, is_proper, mrk)
+from .lucency import check_lucency
+from .net import (Cluster, Marking, PetriNet, connectivity, is_free_choice,
+                  is_proper, mrk)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            explore, is_deadlock_free, is_live,
                            is_live_and_bounded, is_safe)
@@ -68,7 +70,10 @@ def clean(net: PetriNet, m0: Marking) -> PetriNet:
     is to :func:`support_closure`, where every kept transition keeps its
     whole preset.  Raises when the leftovers no longer form a valid net.
     """
-    keep = support_closure(net, m0)
+    return _restrict(net, support_closure(net, m0))
+
+
+def _restrict(net: PetriNet, keep: FrozenSet[str]) -> PetriNet:
     places = [p for p in net.places if p in keep]
     transitions = [t for t in net.transitions if t in keep]
     arcs = [(a, b) for a, b in sorted(net.flow) if a in keep and b in keep]
@@ -111,13 +116,12 @@ def short_circuit(net: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircuitR
     if not m0.is_safe():
         raise RequiresSafeMarking("short-circuiting needs a safe initial marking")
     kept = support_closure(net, m0)
-    cluster_nodes = set(cluster.places) | set(cluster.transitions)
-    if not cluster_nodes <= kept:
-        missing = sorted(cluster_nodes - kept)
+    missing = sorted(set(cluster.nodes()) - kept)
+    if missing:
         raise ClusterNotConnected(
             f"cluster does not survive cleaning; dropped nodes: {missing}")
     removed = tuple(sorted(set(net.nodes()) - kept))
-    return _attach_ring(clean(net, m0), cluster, m0, removed)
+    return _attach_ring(_restrict(net, kept), cluster, m0, removed)
 
 
 def extended_cluster(cluster: Cluster, fresh_transition: str) -> Cluster:
@@ -136,15 +140,16 @@ def is_home_cluster_direct(net: PetriNet, m0: Marking, cluster: Cluster,
     return Verdict(rg.is_home(mrk(cluster)))
 
 
-def _ring_verdict(sc: ShortCircuitResult, m0: Marking,
-                  limits: Optional[ExplorationLimits]) -> Verdict:
-    v = is_live_and_bounded(sc.net, m0, limits)
+def _ring_verdict(sc, m0, limits) -> Tuple[Verdict, ReachabilityGraph]:
+    """Live and bounded, read off the ring's one exploration, which is
+    returned with the verdict."""
+    graph = explore(sc.net, m0, limits)
+    v = is_live_and_bounded(sc.net, m0, limits, rg=graph)
     if v.value is False:
-        return Verdict(False, reason="short-circuited net is " + v.reason,
-                       witness=v.witness)
-    if v.value is None:
-        return Verdict(None, reason="exploration of the short-circuited net incomplete")
-    return v
+        v = Verdict(False, reason="short-circuited net is " + v.reason, witness=v.witness)
+    elif v.value is None:
+        v = Verdict(None, reason="exploration of the short-circuited net incomplete")
+    return v, graph
 
 
 def is_home_cluster_short_circuit(net: PetriNet, m0: Marking, cluster: Cluster,
@@ -157,7 +162,7 @@ def is_home_cluster_short_circuit(net: PetriNet, m0: Marking, cluster: Cluster,
     """
     if not is_free_choice(net):
         raise ValueError("short-circuit detection requires a free-choice net")
-    return _ring_verdict(short_circuit(net, cluster, m0), m0, limits)
+    return _ring_verdict(short_circuit(net, cluster, m0), m0, limits)[0]
 
 
 @dataclass(frozen=True)
@@ -192,52 +197,64 @@ def find_home_clusters(net: PetriNet, m0: Marking,
     """
     if method not in ("direct", "short-circuit", "both"):
         raise ValueError(f"unknown method {method!r}")
-    all_clusters = net.clusters()
+    details = []
+    for detail, ring, graph in _cluster_walk(net, m0, limits, method, rg):
+        del ring, graph  # two live ring graphs would double peak memory
+        if _disagreement(detail):
+            raise TheoremViolation(_disagreement(detail))
+        details.append(detail)
+    return HomeClusterReport(tuple(d.cluster for d in details if d.is_home),
+                             method, tuple(details))
+
+
+def _cluster_walk(net, m0, limits, method, rg) -> Iterator[tuple]:
+    """Clean the net once, then yield ``(detail, ring, ring graph)`` for
+    each cluster in turn, ring and graph ``None`` where the short-circuit
+    method does not run.  Every reader of a ring reads this one, and must
+    drop it before the next step: two live ring graphs double peak memory.
+    """
     want_direct = method in ("direct", "both")
     want_sc = method in ("short-circuit", "both")
-
     if want_direct:
         rg = rg or explore(net, m0, limits)
-    sc_net_ok = want_sc and is_free_choice(net) and m0.is_safe()
-    kept = cleaned = removed = None
-    if sc_net_ok:
+    cleaned = kept = removed = None
+    if want_sc and is_free_choice(net) and m0.is_safe():
         try:
-            kept = support_closure(net, m0)
-            removed = tuple(sorted(set(net.nodes()) - kept))
             cleaned = clean(net, m0)  # shared by every cluster's ring
+            kept = set(cleaned.nodes())
+            removed = tuple(sorted(set(net.nodes()) - kept))
         except CleanedNetInvalid:
-            sc_net_ok = False
+            pass
 
-    details = []
-    homes = []
-    for cluster in all_clusters:
-        direct_v: Optional[bool] = None
-        sc_v: Optional[bool] = None
+    for cluster in net.clusters():
+        direct_v = sc_v = ring = graph = None
         notes = []
         if want_direct:
             direct_v = is_home_cluster_direct(net, m0, cluster, limits, rg=rg).value
             if direct_v is None:
                 notes.append("direct: exploration incomplete")
         if want_sc:
-            if not sc_net_ok:
+            if cleaned is None:
                 notes.append("short-circuit: not applicable to this net")
-            elif not set(cluster.places) | set(cluster.transitions) <= kept:
+            elif not set(cluster.nodes()) <= kept:
                 notes.append("short-circuit: cluster does not survive cleaning")
             else:
-                sc = _attach_ring(cleaned, cluster, m0, removed)
-                sc_v = _ring_verdict(sc, m0, limits).value
+                ring = _attach_ring(cleaned, cluster, m0, removed)
+                verdict, graph = _ring_verdict(ring, m0, limits)
+                sc_v = verdict.value
                 if sc_v is None:
                     notes.append("short-circuit: exploration incomplete")
-        if direct_v is not None and sc_v is not None and direct_v != sc_v:
-            raise TheoremViolation(
-                f"home-cluster methods disagree on {cluster.pretty()}: "
-                f"direct={direct_v}, short-circuit={sc_v}")
         is_home = direct_v if direct_v is not None else sc_v
-        if is_home:
-            homes.append(cluster)
-        details.append(ClusterDetail(cluster, mrk(cluster), is_home,
-                                     direct_v, sc_v, "; ".join(notes)))
-    return HomeClusterReport(tuple(homes), method, tuple(details))
+        yield (ClusterDetail(cluster, mrk(cluster), is_home, direct_v, sc_v, "; ".join(notes)),
+               ring, graph)
+
+
+def _disagreement(d: ClusterDetail) -> str:
+    """Why the two methods contradict each other on ``d``'s cluster, or ''."""
+    if d.direct is None or d.short_circuit is None or d.direct == d.short_circuit:
+        return ""
+    return (f"home-cluster methods disagree on {d.cluster.pretty()}: "
+            f"direct={d.direct}, short-circuit={d.short_circuit}")
 
 
 TERMINAL = "terminal"
@@ -289,15 +306,11 @@ def check_strongly_connected_home_cluster(net: PetriNet, m0: Marking,
                                           ) -> CheckResult:
     """Strongly connected free-choice net with a home cluster: must be
     live, safe, and lucent."""
-    from .lucency import check_lucency
-    from .net import connectivity
-
     name = "strongly-connected-home-cluster"
     rg = rg or explore(net, m0, limits)
     if connectivity(net) != "strong" or not is_free_choice(net):
         return CheckResult(name, False, None, "net not strongly connected free-choice")
-    report = find_home_clusters(net, m0, limits, method="direct", rg=rg)
-    if not report.home_clusters:
+    if not (rg.complete and any(rg.is_home(mrk(c)) for c in net.clusters())):
         return CheckResult(name, False, None, "no home cluster")
     live = is_live(net, m0, limits, rg=rg)
     safe = is_safe(net, m0, limits, rg=rg)
@@ -311,8 +324,6 @@ def check_short_circuit_structure(net: PetriNet, cluster: Cluster, m0: Marking
                                   ) -> CheckResult:
     """The short-circuited cleaned net must be strongly connected and
     free-choice, and the extended cluster must be one of its clusters."""
-    from .net import connectivity
-
     name = "short-circuit-structure"
     if not (is_free_choice(net) and is_proper(net) and m0.is_safe()):
         return CheckResult(name, False, None, "needs a safely marked proper free-choice net")
@@ -320,12 +331,14 @@ def check_short_circuit_structure(net: PetriNet, cluster: Cluster, m0: Marking
         sc = short_circuit(net, cluster, m0)
     except (ClusterNotConnected, CleanedNetInvalid) as exc:
         return CheckResult(name, False, None, str(exc))
+    return _judge_structure(cluster, sc)
+
+
+def _judge_structure(cluster: Cluster, sc: ShortCircuitResult) -> CheckResult:
     strong = connectivity(sc.net) == "strong"
     fc = is_free_choice(sc.net)
-    grown = extended_cluster(cluster, sc.fresh_transition)
-    is_cluster = grown in sc.net.clusters()
-    ok = strong and fc and is_cluster
-    return CheckResult(name, True, ok,
+    is_cluster = extended_cluster(cluster, sc.fresh_transition) in sc.net.clusters()
+    return CheckResult("short-circuit-structure", True, strong and fc and is_cluster,
                        f"strongly_connected={strong} free_choice={fc} extended_cluster={is_cluster}")
 
 
@@ -339,32 +352,32 @@ def check_detection_equivalence(net: PetriNet, m0: Marking, cluster: Cluster,
     name = "detection-equivalence"
     if not (is_free_choice(net) and is_proper(net) and m0.is_safe()):
         return CheckResult(name, False, None, "needs a safely marked proper free-choice net")
-    cluster_nodes = set(cluster.places) | set(cluster.transitions)
-    if not cluster_nodes <= support_closure(net, m0):
-        return CheckResult(name, False, None, "cluster does not survive cleaning")
-    rg = rg or explore(net, m0, limits)
-    direct = is_home_cluster_direct(net, m0, cluster, limits, rg=rg)
     try:
         sc = short_circuit(net, cluster, m0)
+    except ClusterNotConnected:
+        return CheckResult(name, False, None, "cluster does not survive cleaning")
     except CleanedNetInvalid as exc:
         return CheckResult(name, False, None, str(exc))
-    rg2 = explore(sc.net, m0, limits)
-    live_and_bounded = is_live_and_bounded(sc.net, m0, limits, rg=rg2).value
-    grown = extended_cluster(cluster, sc.fresh_transition)
-    sc_direct: Optional[bool] = None
-    if grown in sc.net.clusters() and rg2.complete:
-        sc_direct = rg2.is_home(mrk(grown))
+    rg = rg or explore(net, m0, limits)
+    direct = is_home_cluster_direct(net, m0, cluster, limits, rg=rg).value
+    verdict, graph = _ring_verdict(sc, m0, limits)
+    return _judge_equivalence(rg, cluster, sc, graph, direct, verdict.value)
 
-    values = [v for v in (direct.value, sc_direct, live_and_bounded) if v is not None]
+
+def _judge_equivalence(rg, cluster, sc, graph, direct, live_and_bounded) -> CheckResult:
+    """The equivalence check on ring ``sc`` and its exploration ``graph``."""
+    name = "detection-equivalence"
+    grown = extended_cluster(cluster, sc.fresh_transition)
+    sc_direct = (graph.is_home(mrk(grown))
+                 if grown in sc.net.clusters() and graph.complete else None)
+
+    values = [v for v in (direct, sc_direct, live_and_bounded) if v is not None]
     if not values:
         return CheckResult(name, False, None, "all three checks undecided")
-    agree = all(v == values[0] for v in values)
-    detail = (f"direct={direct.value} extended_direct={sc_direct} "
+    detail = (f"direct={direct} extended_direct={sc_direct} "
               f"live_and_bounded={live_and_bounded}")
-    if not agree:
+    if any(v != values[0] for v in values):
         return CheckResult(name, True, False, detail)
-    if values[0] and rg.complete and rg2.complete:
-        same_states = set(rg.states) == set(rg2.states)
-        if not same_states:
-            return CheckResult(name, True, False, detail + " reachable_sets_differ")
+    if values[0] and rg.complete and graph.complete and set(rg.states) != set(graph.states):
+        return CheckResult(name, True, False, detail + " reachable_sets_differ")
     return CheckResult(name, True, True, detail)

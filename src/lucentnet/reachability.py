@@ -16,7 +16,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
 from .net import (Marking, PetriNet, _fire_unchecked, enabled_list,
-                  enabled_transitions)
+                  enabled_transitions, mrk)
 
 COMPLETE = "complete"
 TRUNCATED = "truncated"
@@ -291,11 +291,6 @@ def bound_k(net: PetriNet, m0: Marking,
     return BoundednessResult("bounded", k=k)
 
 
-def is_bounded(net, m0, limits=None, rg=None) -> Verdict:
-    r = bound_k(net, m0, limits, rg)
-    return Verdict(r.value, reason=r.kind, witness=r.witness if r.witness else r.k)
-
-
 def is_safe(net, m0, limits=None, rg=None) -> Verdict:
     """1-boundedness; unknown is propagated from a truncated exploration."""
     r = bound_k(net, m0, limits, rg)
@@ -382,14 +377,13 @@ def is_live_and_bounded(net, m0, limits=None, rg=None) -> Verdict:
 
 
 def is_perpetual(net, m0, limits=None, rg=None) -> Verdict:
-    """Live, bounded, and in possession of a home cluster."""
-    from . import homecluster  # late import; homecluster builds on this module
-
+    """Live, bounded, and in possession of a home cluster (the witness:
+    the first cluster whose marking is a home marking)."""
     rg = rg or explore(net, m0, limits)
     live_bounded = is_live_and_bounded(net, m0, limits, rg)
     if not live_bounded.value:
         return live_bounded
-    report = homecluster.find_home_clusters(net, m0, limits, method="direct", rg=rg)
-    if not report.home_clusters:
+    home = next((c for c in net.clusters() if rg.is_home(mrk(c))), None)
+    if home is None:
         return Verdict(False, reason="no home cluster")
-    return Verdict(True, witness=report.home_clusters[0])
+    return Verdict(True, witness=home)

@@ -36,6 +36,11 @@ def cases():
         for ident in NETS:
             out.append((f"{cmd}-{ident}.json",
                         [cmd, str(ROOT / "corpus" / f"{ident}.net"), "--format", "json"]))
+    for method in ("direct", "short-circuit"):
+        for ident in NETS:
+            out.append((f"home-clusters-{method}-{ident}.json",
+                        ["home-clusters", str(ROOT / "corpus" / f"{ident}.net"),
+                         "--method", method, "--format", "json"]))
     out.append(("paper-suite-random200-seed7.json",
                 ["paper-suite", "--random", "200", "--seed", "7", "--format", "json"]))
     return out
