@@ -522,19 +522,22 @@ def _run_net_checks(report, name, net, m0, limits, walks_per_net):
     proper = is_proper(net)
     luc = lucency.check_lucency(net, m0, limits, rg=rg)
 
-    # one ring per cluster, read while it is alive by the method agreement,
-    # the detection equivalence and, for home clusters, the ring's structure
-    # (a sink place reachable besides a non-home cluster refutes its strong
-    # connectivity, so that conclusion only holds for home clusters)
+    # the short-circuit verdicts are read off rg, but every ring is still
+    # explored once: the detection equivalence judges the ring's own
+    # live-and-bounded verdict, so a fast verdict that differs from it shows
+    # as a methods-agree or equivalence anomaly.  For home clusters the
+    # ring's structure is judged too (a sink place reachable besides a
+    # non-home cluster refutes its strong connectivity)
     checked = fc and proper and m0.is_safe()
     homes, conflict, struct_results, equiv_results = [], "", [], []
-    for d, ring, graph in homecluster._cluster_walk(net, m0, limits, "both", rg):
+    for d, ring, ring_v, graph in homecluster._cluster_walk(net, m0, limits, "both", rg,
+                                                          rings=True):
         conflict = conflict or homecluster._disagreement(d)
         if d.is_home:
             homes.append(d.cluster)
         if checked and ring is not None:
             equiv_results.append(homecluster._judge_equivalence(
-                rg, d.cluster, ring, graph, d.direct, d.short_circuit))
+                rg, d.cluster, ring, graph, d.direct, ring_v.value))
             if d.is_home:
                 struct_results.append(homecluster._judge_structure(d.cluster, ring))
         del ring, graph  # two live ring graphs would double peak memory

@@ -9,6 +9,14 @@ from the initially marked places, and decides liveness + boundedness of
 the result.  For safely marked proper free-choice nets the two provably
 agree, so a disagreement is reported as a hard error, never resolved
 silently.
+
+:func:`find_home_clusters` reads each short-circuit verdict off the one
+exploration of the net itself (:func:`_ring_reader`), and builds and
+explores a short-circuited net only when that exploration cannot decide.
+:func:`is_home_cluster_short_circuit` and :func:`check_detection_equivalence`
+always build and explore it from scratch: they are the oracles the fast
+reading is tested against.  The theorem suite explores every
+short-circuited net too, so each suite run cross-checks the fast verdicts.
 """
 
 from __future__ import annotations
@@ -198,8 +206,8 @@ def find_home_clusters(net: PetriNet, m0: Marking,
     if method not in ("direct", "short-circuit", "both"):
         raise ValueError(f"unknown method {method!r}")
     details = []
-    for detail, ring, graph in _cluster_walk(net, m0, limits, method, rg):
-        del ring, graph  # two live ring graphs would double peak memory
+    for detail, *ring in _cluster_walk(net, m0, limits, method, rg):
+        del ring  # two live ring graphs would double peak memory
         if _disagreement(detail):
             raise TheoremViolation(_disagreement(detail))
         details.append(detail)
@@ -207,17 +215,21 @@ def find_home_clusters(net: PetriNet, m0: Marking,
                              method, tuple(details))
 
 
-def _cluster_walk(net, m0, limits, method, rg) -> Iterator[tuple]:
-    """Clean the net once, then yield ``(detail, ring, ring graph)`` for
-    each cluster in turn, ring and graph ``None`` where the short-circuit
-    method does not run.  Every reader of a ring reads this one, and must
-    drop it before the next step: two live ring graphs double peak memory.
+def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
+    """Clean the net once, then yield ``(detail, ring, ring verdict, ring
+    graph)`` for each cluster in turn.
+
+    Short-circuit verdicts are read off the base graph ``rg`` whenever
+    :func:`_ring_reader` can; a ring is built and explored only where it
+    cannot, or, with ``rings``, for every cluster that has one (the theorem
+    suite reads those rings and cross-checks the fast verdicts against
+    them).  Ring, verdict and graph are ``None`` where no ring was explored.
+    A reader must drop the ring before the next step: two live ring graphs
+    double peak memory.
     """
     want_direct = method in ("direct", "both")
     want_sc = method in ("short-circuit", "both")
-    if want_direct:
-        rg = rg or explore(net, m0, limits)
-    cleaned = kept = removed = None
+    cleaned = kept = removed = read = None
     if want_sc and is_free_choice(net) and m0.is_safe():
         try:
             cleaned = clean(net, m0)  # shared by every cluster's ring
@@ -225,9 +237,13 @@ def _cluster_walk(net, m0, limits, method, rg) -> Iterator[tuple]:
             removed = tuple(sorted(set(net.nodes()) - kept))
         except CleanedNetInvalid:
             pass
+    if want_direct or cleaned is not None:
+        rg = rg or explore(net, m0, limits)
+    if cleaned is not None:
+        read = _ring_reader(net, rg, cleaned, limits)
 
     for cluster in net.clusters():
-        direct_v = sc_v = ring = graph = None
+        direct_v = sc_v = ring = ring_v = graph = None
         notes = []
         if want_direct:
             direct_v = is_home_cluster_direct(net, m0, cluster, limits, rg=rg).value
@@ -239,14 +255,47 @@ def _cluster_walk(net, m0, limits, method, rg) -> Iterator[tuple]:
             elif not set(cluster.nodes()) <= kept:
                 notes.append("short-circuit: cluster does not survive cleaning")
             else:
-                ring = _attach_ring(cleaned, cluster, m0, removed)
-                verdict, graph = _ring_verdict(ring, m0, limits)
-                sc_v = verdict.value
+                if rings or read is None:
+                    ring = _attach_ring(cleaned, cluster, m0, removed)
+                    ring_v, graph = _ring_verdict(ring, m0, limits)
+                sc_v = read(cluster) if read else ring_v.value
                 if sc_v is None:
                     notes.append("short-circuit: exploration incomplete")
         is_home = direct_v if direct_v is not None else sc_v
         yield (ClusterDetail(cluster, mrk(cluster), is_home, direct_v, sc_v, "; ".join(notes)),
-               ring, graph)
+               ring, ring_v, graph)
+
+
+def _ring_reader(net, rg, cleaned, limits):
+    """The short-circuit verdict of each cluster, read off the complete base
+    graph ``rg`` without exploring its ring; ``None`` when ``rg`` is not
+    complete within the cap.
+
+    The ring is the cleaned net, whose reachable markings are ``rg``'s, plus
+    tC, and tC fired at M >= Mrk(C) gives M - Mrk(C) + m0.  So when some
+    M in ``rg`` lies strictly above Mrk(C) the ring is unbounded, and its
+    exploration says so, not ``truncated``: the first marking outside
+    ``rg`` strictly dominates the root.  Otherwise tC fires only at Mrk(C),
+    the ring's graph is ``rg`` plus the edge Mrk(C) -> m0, and it is live
+    exactly when Mrk(C) is a home marking and every cleaned transition
+    labels an edge of ``rg``.
+    """
+    if not (rg.complete and len(rg.states) <= (limits or ExplorationLimits()).max_states):
+        return None
+    fired = {t for _, t, _ in rg.edges}
+    all_fire = fired.issuperset(cleaned.transitions)
+    # a marking above Mrk(C) marks a place of C: a cluster without places
+    # is a transition with an empty preset and some output, so its net is
+    # unbounded and never has a complete graph
+    cluster_of = {p: c for c in net.clusters() for p in c.places}
+    above = set()
+    for m in rg.states:
+        tokens = len(m)
+        for p in m.support():
+            c = cluster_of[p]
+            if tokens > len(c.places) and all(q in m for q in c.places):
+                above.add(c)
+    return lambda cluster: all_fire and cluster not in above and rg.is_home(mrk(cluster))
 
 
 def _disagreement(d: ClusterDetail) -> str:
@@ -307,9 +356,9 @@ def check_strongly_connected_home_cluster(net: PetriNet, m0: Marking,
     """Strongly connected free-choice net with a home cluster: must be
     live, safe, and lucent."""
     name = "strongly-connected-home-cluster"
-    rg = rg or explore(net, m0, limits)
     if connectivity(net) != "strong" or not is_free_choice(net):
         return CheckResult(name, False, None, "net not strongly connected free-choice")
+    rg = rg or explore(net, m0, limits)
     if not (rg.complete and any(rg.is_home(mrk(c)) for c in net.clusters())):
         return CheckResult(name, False, None, "no home cluster")
     live = is_live(net, m0, limits, rg=rg)

@@ -85,6 +85,7 @@ class ReachabilityGraph:
         self._enabled: List[Optional[FrozenSet[str]]] = [None] * len(self.states)
         self._terminal_sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._home: Optional[FrozenSet[int]] = None
 
     @property
     def initial(self) -> Marking:
@@ -116,9 +117,10 @@ class ReachabilityGraph:
         """``m`` is a home marking: a state of the unique terminal SCC."""
         if not self.complete:
             raise UndecidedError(f"home markings need a complete exploration ({self.verdict})")
-        terminal = self.terminal_sccs()
-        i = self.index.get(m)
-        return len(terminal) == 1 and i is not None and i in terminal[0]
+        if self._home is None:
+            terminal = self.terminal_sccs()
+            self._home = frozenset(terminal[0]) if len(terminal) == 1 else frozenset()
+        return self.index.get(m) in self._home
 
     # -- strongly connected components ------------------------------------
 

@@ -1,7 +1,9 @@
 """The theorem suite short-circuits each cluster once and reads that one ring
 for every check; the public per-cluster functions, which build their own
-ring, are the oracle for what it reads."""
+ring, are the oracle for what it reads.  Home-cluster detection alone
+explores no ring unless the base graph is incomplete."""
 
+import pathlib
 import sys
 from collections import Counter
 
@@ -9,11 +11,16 @@ import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected,
                        ExplorationLimits, TheoremViolation,
-                       check_detection_equivalence,
-                       check_short_circuit_structure, find_home_clusters,
-                       is_free_choice, is_proper, run_theorem_suite,
-                       short_circuit, suite_nets)
+                       all_reference_nets, check_detection_equivalence,
+                       check_short_circuit_structure, explore,
+                       find_home_clusters, is_free_choice, is_proper,
+                       reference_net, run_theorem_suite, short_circuit,
+                       suite_nets)
 from lucentnet import homecluster, reachability
+from lucentnet.cli import main
+from test_fast_short_circuit import forkjoin, ring
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _key(net, m0):
@@ -50,6 +57,57 @@ def test_suite_explores_each_net_and_each_ring_once(explorations):
         assert all(n == 1 for n in explorations.values()), name
         rings_seen += len(explorations)
     assert rings_seen > 0
+
+
+def _family_nets():
+    yield from ((ref.ident, ref.net, ref.initial) for ref in all_reference_nets())
+    yield ("forkjoin(4)", *forkjoin(4))
+    yield ("ring(9)", *ring(9))
+
+
+def _applicable_rings(net, m0):
+    count = 0
+    for cluster in net.clusters():
+        try:
+            short_circuit(net, cluster, m0)
+            count += 1
+        except (ClusterNotConnected, CleanedNetInvalid):
+            pass
+    return count
+
+
+def test_home_clusters_explore_a_complete_net_once(explorations, capsys):
+    for name, net, m0 in _family_nets():
+        applies = is_free_choice(net) and m0.is_safe()
+        for method in ("both", "short-circuit"):
+            explorations.clear()
+            find_home_clusters(net, m0, method=method)
+            runs = 1 if method == "both" or applies else 0
+            assert explorations[_key(net, m0)] == runs, (name, method)
+            assert sum(explorations.values()) == runs, (name, method)
+    for ident in ("n1", "n2", "n3", "n4", "n5"):
+        explorations.clear()
+        main(["home-clusters", str(CORPUS / f"{ident}.net"), "--method", "both"])
+        assert list(explorations.values()) == [1], ident
+
+
+def test_home_clusters_explore_each_ring_on_a_truncated_net(explorations, capsys):
+    small = ExplorationLimits(max_states=3)
+    truncated = 0
+    for name, net, m0 in _family_nets():
+        if explore(net, m0, small).complete or not is_free_choice(net):
+            continue
+        truncated += 1
+        rings = _applicable_rings(net, m0)
+        explorations.clear()
+        find_home_clusters(net, m0, small, method="both")
+        assert explorations.pop(_key(net, m0)) == 1, name
+        assert len(explorations) == rings and set(explorations.values()) == {1}, name
+    assert truncated >= 4
+    explorations.clear()
+    main(["home-clusters", str(CORPUS / "n3.net"), "--method", "both", "--max-states", "3"])
+    n3 = reference_net("n3")
+    assert sum(explorations.values()) == 1 + _applicable_rings(n3.net, n3.initial)
 
 
 def test_find_home_clusters_closes_support_once(n5, monkeypatch):
