@@ -243,10 +243,12 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
         read = _ring_reader(net, rg, cleaned, limits)
 
     for cluster in net.clusters():
+        marking = mrk(cluster)
         direct_v = sc_v = ring = ring_v = graph = None
         notes = []
         if want_direct:
-            direct_v = is_home_cluster_direct(net, m0, cluster, limits, rg=rg).value
+            # is_home_cluster_direct, on the marking built once per cluster
+            direct_v = rg.is_home(marking) if rg.complete else None
             if direct_v is None:
                 notes.append("direct: exploration incomplete")
         if want_sc:
@@ -258,18 +260,18 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
                 if rings or read is None:
                     ring = _attach_ring(cleaned, cluster, m0, removed)
                     ring_v, graph = _ring_verdict(ring, m0, limits)
-                sc_v = read(cluster) if read else ring_v.value
+                sc_v = read(cluster, marking) if read else ring_v.value
                 if sc_v is None:
                     notes.append("short-circuit: exploration incomplete")
         is_home = direct_v if direct_v is not None else sc_v
-        yield (ClusterDetail(cluster, mrk(cluster), is_home, direct_v, sc_v, "; ".join(notes)),
+        yield (ClusterDetail(cluster, marking, is_home, direct_v, sc_v, "; ".join(notes)),
                ring, ring_v, graph)
 
 
 def _ring_reader(net, rg, cleaned, limits):
-    """The short-circuit verdict of each cluster, read off the complete base
-    graph ``rg`` without exploring its ring; ``None`` when ``rg`` is not
-    complete within the cap.
+    """The short-circuit verdict of a cluster and its marking Mrk(C), read
+    off the complete base graph ``rg`` without exploring its ring; ``None``
+    when ``rg`` is not complete within the cap.
 
     The ring is the cleaned net, whose reachable markings are ``rg``'s, plus
     tC, and tC fired at M >= Mrk(C) gives M - Mrk(C) + m0.  So when some
@@ -295,7 +297,7 @@ def _ring_reader(net, rg, cleaned, limits):
             c = cluster_of[p]
             if tokens > len(c.places) and all(q in m for q in c.places):
                 above.add(c)
-    return lambda cluster: all_fire and cluster not in above and rg.is_home(mrk(cluster))
+    return lambda cluster, marking: all_fire and cluster not in above and rg.is_home(marking)
 
 
 def _disagreement(d: ClusterDetail) -> str:

@@ -134,7 +134,7 @@ class PetriNet:
     """
 
     __slots__ = ("places", "transitions", "flow", "_pre", "_post", "_nodes",
-                 "_place_set", "_transition_set", "_enabled_scan",
+                 "_place_set", "_transition_set", "_compiled",
                  "_clusters", "_cluster_of")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
@@ -186,9 +186,7 @@ class PetriNet:
         self._nodes = self.places + self.transitions
         self._place_set = frozenset(self.places)
         self._transition_set = frozenset(self.transitions)
-        # scan list for the enabledness hot path, in transition order
-        self._enabled_scan = tuple((t, tuple(sorted(self._pre[t])))
-                                   for t in self.transitions)
+        self._compiled: Optional[Compiled] = None  # built on first use
         self._clusters: Optional[Tuple[Cluster, ...]] = None
         self._cluster_of: Optional[Dict[str, Cluster]] = None
 
@@ -323,12 +321,72 @@ def mrk(cluster: Cluster) -> Marking:
 # -- firing semantics -----------------------------------------------------
 
 
+class Compiled:
+    """A net numbered for the firing kernels: places and transitions are
+    indexed in identifier order, and a set of transitions is an int with
+    bit ``i`` for transition ``i``.
+
+    ``outs[i]`` holds the output transitions of place ``i``, and ``always``
+    the transitions with an empty preset, so the transitions a marking may
+    enable are ``always`` plus the outputs of its marked places.
+    ``dsize[t]`` is how many tokens firing t adds.  ``pre`` and ``post`` are
+    the net's own preset and postset maps; the form holds no reference to
+    the net, so the net and its form are freed together without waiting
+    for the cycle collector.
+    """
+
+    __slots__ = ("transitions", "pre", "post", "place_index", "outs",
+                 "outs_of", "always", "dsize")
+
+    def __init__(self, net: PetriNet):
+        self.transitions = net.transitions
+        self.pre = pre = net._pre
+        self.post = post = net._post
+        self.place_index = index = {p: i for i, p in enumerate(net.places)}
+        outs = [0] * len(net.places)
+        always = 0
+        self.dsize = dsize = []
+        for t, name in enumerate(net.transitions):
+            ins = pre[name]
+            bit = 1 << t
+            for p in ins:
+                outs[index[p]] |= bit
+            if not ins:
+                always |= bit
+            dsize.append(len(post[name]) - len(ins))
+        self.outs = outs
+        self.outs_of = dict(zip(net.places, outs))
+        self.always = always
+
+
+def compiled(net: PetriNet) -> Compiled:
+    """The net's :class:`Compiled` form, built once and cached on the net."""
+    form = net._compiled
+    if form is None:
+        form = net._compiled = Compiled(net)
+    return form
+
+
 def enabled_list(net: PetriNet, m: Marking) -> list:
-    """Enabled transitions in identifier order (hot path)."""
+    """Enabled transitions in identifier order.
+
+    Only the outputs of marked places, and transitions with an empty
+    preset, are tested; the rest cannot be enabled.
+    """
+    form = net._compiled or compiled(net)
     counts = m._counts
+    outs_of = form.outs_of
+    candidates = form.always
+    for p in counts:
+        candidates |= outs_of.get(p, 0)
+    names = net.transitions
+    pre = net._pre
     out = []
-    for t, pre in net._enabled_scan:
-        for p in pre:
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        t = names[bit.bit_length() - 1]
+        for p in pre[t]:
             if p not in counts:
                 break
         else:
@@ -342,9 +400,13 @@ def enabled_transitions(net: PetriNet, m: Marking) -> FrozenSet[str]:
 
 
 def is_enabled(net: PetriNet, m: Marking, t: str) -> bool:
-    if not net.has_node(t) or not net.is_transition(t):
+    if t not in net._transition_set:
         raise NodeNotFound(f"unknown transition {t!r}")
-    return all(m.count(p) >= 1 for p in net.preset(t))
+    counts = m._counts  # positive counts only
+    for p in net._pre[t]:
+        if p not in counts:
+            return False
+    return True
 
 
 def _fire_unchecked(net: PetriNet, m: Marking, t: str) -> Marking:

@@ -7,6 +7,28 @@ transition order), so state indexing, edges, and every witness are
 identical across runs.  Unboundedness is detected by strict multiset
 domination of an ancestor on the exploration path: if firing ``pump``
 from some reached marking strictly grows it, the pump can repeat forever.
+
+Inside :func:`explore` a marking is one packed ``int``.  Place ``i``, in
+identifier order, owns a field of ``w`` value bits and one guard bit above
+them; stored markings keep every guard bit clear.  With ``G`` the guard
+bits, ``ONES`` the low bit of every field, and ``pre1[t]``/``post1[t]``
+the low bits of t's preset and postset (``preg[t] = pre1[t] << w``):
+
+- the marked places are the guard bits of ``((s | G) - ONES) & G``: a field
+  holding ``c`` borrows from its guard exactly when ``c`` is 0;
+- the candidate transitions are the outputs of the marked places (plus
+  those with an empty preset), taken lowest index first, so edges keep
+  identifier order; t is enabled when ``marked & preg[t] == preg[t]``;
+- firing t gives ``s - pre1[t] + post1[t]``; a count that outgrows its
+  field sets a guard bit, and the search then starts over at width ``2w``;
+- ``s2`` strictly dominates ancestor ``k`` when ``sizes[k] < size2`` and
+  ``((s2 | G) - states[k]) & G == G`` (no field of ``s2`` is below ``k``'s).
+
+Each state also keeps the smallest token count on its root path.  Only an
+ancestor with fewer tokens can be strictly dominated, so the ancestor walk
+stops as soon as none is left above (Karp & Miller 1969); a net that
+conserves tokens never walks.  Markings become :class:`Marking` values
+once per state, when the search ends.
 """
 
 from __future__ import annotations
@@ -15,8 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
-from .net import (Marking, PetriNet, _fire_unchecked, enabled_list,
-                  enabled_transitions, mrk)
+from .net import Marking, PetriNet, compiled, enabled_transitions, mrk
 
 COMPLETE = "complete"
 TRUNCATED = "truncated"
@@ -86,6 +107,7 @@ class ReachabilityGraph:
         self._terminal_sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._home: Optional[FrozenSet[int]] = None
+        self._live: Optional[Verdict] = None
 
     @property
     def initial(self) -> Marking:
@@ -121,6 +143,32 @@ class ReachabilityGraph:
             terminal = self.terminal_sccs()
             self._home = frozenset(terminal[0]) if len(terminal) == 1 else frozenset()
         return self.index.get(m) in self._home
+
+    def live(self) -> Verdict:
+        """Every transition of the net stays fireable from every reachable
+        marking; undecided unless the graph is complete.  Computed once.
+
+        For a finite complete graph this is equivalent to: every transition
+        labels an edge inside every terminal SCC (each state can reach a
+        terminal SCC, and inside one every member marking is revisitable).
+        The counterexample is the lexicographically smallest missing
+        transition at the first state of the offending component.
+        """
+        if self._live is None:
+            self._live = self._liveness()
+        return self._live
+
+    def _liveness(self) -> Verdict:
+        if not self.complete:
+            return Verdict(None, reason=self.verdict)
+        for scc in self.terminal_sccs():
+            inside = set(scc)
+            labels = {t for i in scc for t, j in self._out[i] if j in inside}
+            missing = sorted(set(self.net.transitions) - labels)
+            if missing:
+                return Verdict(False, reason="transition cannot fire again",
+                               witness=(missing[0], self.states[scc[0]]))
+        return Verdict(True)
 
     # -- strongly connected components ------------------------------------
 
@@ -200,6 +248,55 @@ def strong_components(succ: Sequence[Sequence[int]]) -> List[int]:
     return comp
 
 
+class _Layout:
+    """The packed-marking layout of a compiled net at field width ``w``
+    (see the module docstring): ``ones`` is ``ONES``, ``guard`` is ``G``,
+    ``pre_guard[t]`` is ``preg[t]`` and ``delta[t]`` is
+    ``post1[t] - pre1[t]``, so firing t is one addition."""
+
+    __slots__ = ("width", "field", "ones", "guard", "pre_guard", "delta")
+
+    def __init__(self, form, w: int):
+        index = form.place_index
+        f = w + 1
+        self.width = w
+        self.field = f
+        self.ones = ((1 << (len(index) * f)) - 1) // ((1 << f) - 1)
+        self.guard = self.ones << w
+        self.pre_guard = pre_guard = []
+        self.delta = delta = []
+        for t in form.transitions:
+            x = y = 0
+            for p in form.pre[t]:
+                x |= 1 << (index[p] * f)
+            for p in form.post[t]:
+                y |= 1 << (index[p] * f)
+            pre_guard.append(x << w)
+            delta.append(y - x)
+
+    def pack(self, m: Marking, index) -> int:
+        s = 0
+        for p, n in m.items:
+            if p in index:
+                s |= n << (index[p] * self.field)
+        return s
+
+    def unpack(self, s: int, places, extra) -> Marking:
+        """The marking of ``s``, plus the ``extra`` items of places outside
+        the net (carried unchanged from the initial marking)."""
+        f, w = self.field, self.width
+        marked = ((s | self.guard) - self.ones) & self.guard
+        items = []
+        while marked:
+            bit = marked & -marked
+            marked ^= bit
+            i = bit.bit_length() // f - 1
+            items.append((places[i], 1 if w == 1 else (s >> (i * f)) & ((1 << w) - 1)))
+        if extra:
+            items = sorted(items + list(extra))
+        return Marking(tuple(items))
+
+
 def explore(net: PetriNet, m0: Marking,
             limits: Optional[ExplorationLimits] = None) -> ReachabilityGraph:
     """Breadth-first exploration of the reachable markings.
@@ -208,65 +305,102 @@ def explore(net: PetriNet, m0: Marking,
     a newly generated marking strictly dominates an ancestor on its own
     exploration path, and with ``truncated`` if more than ``max_states``
     distinct markings would be needed.
+
+    The search runs on packed markings (see the module docstring).  It
+    starts with fields as wide as the largest initial count needs and, the
+    first time a count outgrows its field, starts over with fields twice as
+    wide; a run's result does not depend on the width it ran at.
     """
     limits = limits or ExplorationLimits()
-    states: List[Marking] = [m0]
-    index: Dict[Marking, int] = {m0: 0}
-    parent: List[Tuple[int, Optional[str]]] = [(-1, None)]
-    sizes: List[int] = [len(m0)]
-    edges: List[Tuple[int, str, int]] = []
-    verdict = COMPLETE
-    witness = None
+    form = compiled(net)
+    index = form.place_index
+    extra = tuple((p, n) for p, n in m0.items if p not in index)
+    w = max(1, max((n for p, n in m0.items if p in index), default=0).bit_length())
+    while True:
+        layout = _Layout(form, w)
+        run = _search(form, layout, layout.pack(m0, index), len(m0), limits.max_states)
+        if run is not None:
+            break
+        w *= 2
+    packed, edges, verdict, witness, expanded = run
+    states = [layout.unpack(s, net.places, extra) for s in packed]
+    del packed, layout  # freed before the graph builds its adjacency
+    # the state at ``expanded`` is only partly expanded when the search stopped
+    return ReachabilityGraph(net, states, edges, verdict, unbounded_witness=witness,
+                             index={m: i for i, m in enumerate(states)}, expanded=expanded)
 
-    def path_from_root(k: int) -> Tuple[str, ...]:
-        out = []
-        while k != 0:
-            k, t = parent[k][0], parent[k][1]
-            out.append(t)
-        # walk collected child->root; reverse below
-        return tuple(reversed(out))
+
+def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
+    """The breadth-first search of :func:`explore` at one field width:
+    ``(states, edges, verdict, witness, expanded)`` with packed states, or
+    ``None`` as soon as a count outgrows its field."""
+    guard, ones, f = layout.guard, layout.ones, layout.field
+    pre_guard, delta = layout.pre_guard, layout.delta
+    outs, always, dsize, names = form.outs, form.always, form.dsize, form.transitions
+    states = [s0]
+    index = {s0: 0}
+    sizes = [size0]   # token count of each state
+    least = [size0]   # smallest token count on each state's root path
+    parent = [-1]
+    via = [-1]        # the transition that first reached each state
+    edges: List[Tuple[int, str, int]] = []
 
     pos = 0
     while pos < len(states):
-        m = states[pos]
-        stop = False
-        for t in enabled_list(net, m):
-            m2 = _fire_unchecked(net, m, t)
-            j = index.get(m2)
+        s = states[pos]
+        size = sizes[pos]
+        marked = ((s | guard) - ones) & guard
+        candidates = always
+        rest = marked
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            candidates |= outs[bit.bit_length() // f - 1]
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            t = bit.bit_length() - 1
+            need = pre_guard[t]
+            if marked & need != need:
+                continue
+            s2 = s + delta[t]
+            if s2 & guard:
+                return None
+            j = index.get(s2)
             if j is None:
-                # ancestor domination check along the path of the new marking
-                size2 = len(m2)
+                size2 = size + dsize[t]
+                # an ancestor strictly below s2 has fewer tokens, so walk
+                # only while one with fewer tokens is still above
                 k = pos
-                dominated = -1
-                while k != -1:
-                    if sizes[k] < size2 and states[k].lt(m2):
-                        dominated = k
-                        break
-                    k = parent[k][0]
-                if dominated >= 0:
-                    stem = path_from_root(dominated)
-                    full = path_from_root(pos) + (t,)
-                    witness = UnboundednessWitness(stem=stem, pump=full[len(stem):])
-                    verdict = UNBOUNDED
-                    stop = True
-                    break
-                if len(states) >= limits.max_states:
-                    verdict = TRUNCATED
-                    stop = True
-                    break
+                s2g = s2 | guard
+                while k != -1 and least[k] < size2:
+                    if sizes[k] < size2 and (s2g - states[k]) & guard == guard:
+                        stem = _path(k, parent, via, names)
+                        full = _path(pos, parent, via, names) + (names[t],)
+                        witness = UnboundednessWitness(stem=stem, pump=full[len(stem):])
+                        return states, edges, UNBOUNDED, witness, pos
+                    k = parent[k]
+                if len(states) >= max_states:
+                    return states, edges, TRUNCATED, None, pos
                 j = len(states)
-                states.append(m2)
-                index[m2] = j
-                parent.append((pos, t))
+                states.append(s2)
+                index[s2] = j
                 sizes.append(size2)
-            edges.append((pos, t, j))
-        if stop:
-            break
+                least.append(min(least[pos], size2))
+                parent.append(pos)
+                via.append(t)
+            edges.append((pos, names[t], j))
         pos += 1
+    return states, edges, COMPLETE, None, pos
 
-    # the state at ``pos`` is only partly expanded when the search stopped
-    return ReachabilityGraph(net, states, edges, verdict,
-                             unbounded_witness=witness, index=index, expanded=pos)
+
+def _path(k: int, parent, via, names) -> Tuple[str, ...]:
+    """The transitions from the root to state ``k`` along the search tree."""
+    out = []
+    while k:
+        out.append(names[via[k]])
+        k = parent[k]
+    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -278,6 +412,14 @@ class BoundednessResult:
     @property
     def value(self) -> Optional[bool]:
         return {"bounded": True, "unbounded": False}.get(self.kind)
+
+    def safe(self) -> Verdict:
+        """1-boundedness; unknown is propagated from a truncated exploration."""
+        if self.kind == "bounded":
+            return Verdict(self.k <= 1, witness=self.k)
+        if self.kind == "unbounded":
+            return Verdict(False, reason="unbounded", witness=self.witness)
+        return Verdict(None, reason="truncated")
 
 
 def bound_k(net: PetriNet, m0: Marking,
@@ -295,34 +437,13 @@ def bound_k(net: PetriNet, m0: Marking,
 
 def is_safe(net, m0, limits=None, rg=None) -> Verdict:
     """1-boundedness; unknown is propagated from a truncated exploration."""
-    r = bound_k(net, m0, limits, rg)
-    if r.kind == "bounded":
-        return Verdict(r.k <= 1, witness=r.k)
-    if r.kind == "unbounded":
-        return Verdict(False, reason="unbounded", witness=r.witness)
-    return Verdict(None, reason="truncated")
+    return bound_k(net, m0, limits, rg).safe()
 
 
 def is_live(net, m0, limits=None, rg=None) -> Verdict:
-    """Every transition stays fireable from every reachable marking.
-
-    For a finite complete graph this is equivalent to: every transition
-    labels an edge inside every terminal SCC (each state can reach a
-    terminal SCC, and inside one every member marking is revisitable).
-    The counterexample is the lexicographically smallest missing
-    transition at the first state of the offending component.
-    """
-    rg = rg or explore(net, m0, limits)
-    if not rg.complete:
-        return Verdict(None, reason=rg.verdict)
-    for scc in rg.terminal_sccs():
-        inside = set(scc)
-        labels = {t for i in scc for t, j in rg.out_edges(i) if j in inside}
-        missing = sorted(set(net.transitions) - labels)
-        if missing:
-            return Verdict(False, reason="transition cannot fire again",
-                           witness=(missing[0], rg.states[scc[0]]))
-    return Verdict(True)
+    """Every transition stays fireable from every reachable marking: the
+    graph's cached :meth:`ReachabilityGraph.live` verdict."""
+    return (rg or explore(net, m0, limits)).live()
 
 
 def dead_places(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:

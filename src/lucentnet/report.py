@@ -15,7 +15,7 @@ from .net import (Marking, PetriNet, connectivity, is_free_choice, is_proper,
                   net_class)
 from .reachability import (ExplorationLimits, bound_k, dead_places,
                            dead_transitions, explore, home_markings,
-                           is_deadlock_free, is_live, is_perpetual, is_safe)
+                           is_deadlock_free, is_live, is_perpetual)
 from . import homecluster, lucency
 
 SCHEMA_VERSION = 1
@@ -61,7 +61,7 @@ def build_report(name: str, net: PetriNet, m0: Marking,
 
     bounded = bound_k(net, m0, limits, rg=rg)
     live = is_live(net, m0, limits, rg=rg)
-    safe = is_safe(net, m0, limits, rg=rg)
+    safe = bounded.safe()
     deadlock_free = is_deadlock_free(net, rg)
     perpetual = is_perpetual(net, m0, limits, rg=rg)
     complete = rg.complete

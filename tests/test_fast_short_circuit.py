@@ -131,7 +131,7 @@ def test_dead_cleaned_transition():
     read = homecluster._ring_reader(net, rg, cleaned, None)
     for cluster in net.clusters():
         verdict, _ = homecluster._ring_verdict(short_circuit(net, cluster, m0), m0, None)
-        assert read(cluster) is verdict.value is False, cluster
+        assert read(cluster, mrk(cluster)) is verdict.value is False, cluster
     b = net.cluster_of("b")
     assert rg.is_home(mrk(b))
     assert find_home_clusters(net, m0, method="direct").home_clusters == (b,)
@@ -148,8 +148,9 @@ def test_truncated_or_oversized_base_graph_falls_back():
     # but its ring explored under the cap is truncated
     full = explore(net, m0)
     assert full.complete and len(full.states) > 4
+    p0 = net.cluster_of("p0")
     assert homecluster._ring_reader(net, full, homecluster.clean(net, m0), None)(
-        net.cluster_of("p0")) is True
+        p0, mrk(p0)) is True
     assert homecluster._ring_reader(net, full, homecluster.clean(net, m0), small) is None
     report = find_home_clusters(net, m0, small, method="short-circuit", rg=full)
     assert [d.short_circuit for d in report.details] == [

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected,
-                       ExplorationLimits, TheoremViolation,
+                       ExplorationLimits, Marking, PetriNet, TheoremViolation,
                        all_reference_nets, check_detection_equivalence,
                        check_short_circuit_structure, explore,
                        find_home_clusters, is_free_choice, is_proper,
@@ -108,6 +108,34 @@ def test_home_clusters_explore_each_ring_on_a_truncated_net(explorations, capsys
     main(["home-clusters", str(CORPUS / "n3.net"), "--method", "both", "--max-states", "3"])
     n3 = reference_net("n3")
     assert sum(explorations.values()) == 1 + _applicable_rings(n3.net, n3.initial)
+
+
+def test_widening_restarts_stay_inside_one_exploration(explorations, monkeypatch):
+    # a safe start that later puts two tokens on c: explore restarts with
+    # wider fields, still as one call
+    net = PetriNet(["a", "b", "c"], ["t1", "t2", "t3"],
+                   [("a", "t1"), ("t1", "b"), ("t1", "c"),
+                    ("b", "t2"), ("t2", "c"), ("c", "t3")])
+    m0 = Marking.of("a")
+    searches = []
+    original = reachability._search
+    monkeypatch.setattr(reachability, "_search",
+                        lambda form, layout, *args: searches.append(layout.width)
+                        or original(form, layout, *args))
+    run_theorem_suite([("widening", net, m0)])
+    assert explorations[_key(net, m0)] == 1
+    assert set(explorations.values()) == {1}
+    # every exploration starts at width 1 and restarts once, inside its call
+    assert searches == [1, 2] * len(explorations)
+
+
+def test_find_home_clusters_builds_each_cluster_marking_once(n5, monkeypatch):
+    built = []
+    original = homecluster.mrk
+    monkeypatch.setattr(homecluster, "mrk", lambda c: built.append(c) or original(c))
+    report = find_home_clusters(n5.net, n5.initial, method="both")
+    assert built == list(n5.net.clusters())
+    assert [d.marking for d in report.details] == [original(c) for c in built]
 
 
 def test_find_home_clusters_closes_support_once(n5, monkeypatch):

@@ -286,3 +286,23 @@ def test_exploration_limits_have_one_knob():
     assert [f.name for f in fields(ExplorationLimits)] == ["max_states"]
     with pytest.raises(ValueError):
         ExplorationLimits(max_states=0)
+
+
+def test_report_decides_liveness_and_bound_once(n1, monkeypatch):
+    from lucentnet import reachability, report
+    calls = []
+    liveness = reachability.ReachabilityGraph._liveness
+    monkeypatch.setattr(reachability.ReachabilityGraph, "_liveness",
+                        lambda rg: calls.append("live") or liveness(rg))
+    bound = reachability.bound_k
+
+    def counting(*args, **kwargs):
+        calls.append("bound")
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(reachability, "bound_k", counting)
+    monkeypatch.setattr(report, "bound_k", counting)
+    built = report.build_report("n1", n1.net, n1.initial)
+    assert sorted(calls) == ["bound", "live"]
+    assert built["behavioral"]["live"]["value"] is False
+    assert built["behavioral"]["safe"] == {"value": True}
