@@ -17,8 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected,
                      CorpusIntegrityError, TheoremViolation, UndecidedError)
-from .net import (Marking, PetriNet, connectivity, enabled_transitions, fire,
-                  is_free_choice, is_proper, mrk, net_class, sequence_enabled)
+from .net import (Marking, PetriNet, connectivity, enabled_list,
+                  enabled_transitions, fire, is_free_choice, is_proper, mrk,
+                  net_class, sequence_enabled)
 from .reachability import (ExplorationLimits, explore, bound_k,
                            dead_places, dead_transitions, is_deadlock_free,
                            is_live, is_perpetual, is_safe, home_markings,
@@ -488,11 +489,25 @@ class SuiteReport:
         return not self.anomalies
 
 
-def _sample_walk(net, m0, rng, max_len=8):
-    m = m0
+def _sample_walk(net, m0, rng, max_len=8, rg=None):
+    """A random enabled sequence from ``m0``: each step draws one of the
+    enabled transitions, in identifier order.  Given the graph of
+    ``(net, m0)``, it steps along the out-edges of expanded states, which
+    list the same transitions in the same order, and fires on the net only
+    past them."""
     out = []
-    for _ in range(max_len):
-        en = sorted(enabled_transitions(net, m))
+    if rg is not None:
+        i = 0
+        while len(out) < max_len and rg.is_expanded(i):
+            edges = rg.out_edges(i)
+            if not edges:
+                return tuple(out)
+            t, i = rng.choice(edges)
+            out.append(t)
+        m0 = rg.states[i]
+    m = m0
+    while len(out) < max_len:
+        en = enabled_list(net, m)
         if not en:
             break
         t = rng.choice(en)
@@ -608,7 +623,7 @@ def _run_net_checks(report, name, net, m0, limits, walks_per_net):
         failures = []
         replayed = 0
         for _ in range(walks_per_net):
-            walk = _sample_walk(net, m0, rng)
+            walk = _sample_walk(net, m0, rng, rg=rg)
             if len(walk) < 2:
                 continue
             v = paths.verify_expedite_safe(net, m0, walk, samples=5)

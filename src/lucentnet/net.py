@@ -409,17 +409,22 @@ def is_enabled(net: PetriNet, m: Marking, t: str) -> bool:
     return True
 
 
-def _fire_unchecked(net: PetriNet, m: Marking, t: str) -> Marking:
-    counts = dict(m.items)
+def _fire_counts(net: PetriNet, counts: Mapping[str, int], t: str) -> Dict[str, int]:
+    """Fire ``t`` on a dict of positive counts, unchecked: a new dict."""
+    out = dict(counts)
     for p in net._pre[t]:
-        n = counts[p] - 1
+        n = out[p] - 1
         if n:
-            counts[p] = n
+            out[p] = n
         else:
-            del counts[p]
+            del out[p]
     for p in net._post[t]:
-        counts[p] = counts.get(p, 0) + 1
-    return Marking(tuple(sorted(counts.items())))
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+def _fire_unchecked(net: PetriNet, m: Marking, t: str) -> Marking:
+    return Marking(tuple(sorted(_fire_counts(net, m._counts, t).items())))
 
 
 def fire(net: PetriNet, m: Marking, t: str) -> Marking:

@@ -10,6 +10,17 @@ transition forward when (a) the rewritten prefix is still enabled and
 (b) no transition of the same cluster stands in between.  All sequence
 positions in this module are 1-based, matching the usual subscript
 notation for sequences.
+
+A sequence is fired once and its *trace* kept: the marking before every
+position and after the last, as count dicts.  The marking before position
+i is a fact of the prefix alone, so (a) holds for the move (i, j) iff the
+mover is enabled at the trace's marking before i; with the cluster of
+every position taken once per sequence, a candidate move is decided in
+time independent of the sequence's length, where replaying its prefix
+took O(n) firings.  A variant shares its first i - 1 positions with the
+sequence it was rewritten from, so it is replayed from the marking before
+i only, checking every step to the end, and carries the trace it gets
+into the next round of moves.
 """
 
 from __future__ import annotations
@@ -17,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BadIndices, InvalidPath, NotEnabled, UndecidedError
-from .net import (Marking, PetriNet, enabled_transitions, fire, fire_sequence,
-                  sequence_enabled, sequence_to_multiset)
+from .errors import (BadIndices, InvalidPath, NodeNotFound, NotEnabled,
+                     NotEnabledAt, UndecidedError)
+from .net import (Marking, PetriNet, _fire_counts, enabled_transitions, fire,
+                  is_enabled, sequence_enabled, sequence_to_multiset)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            explore)
 
@@ -100,9 +112,7 @@ def disentangle(net: PetriNet, nodes: Sequence[str], cluster) -> DisentangledPat
     consumes from all of the cluster's places).  The result starts at the
     same place and uses only transitions of the input path.
     """
-    nodes = tuple(nodes)
-    if isinstance(nodes, Path):
-        nodes = nodes.nodes
+    nodes = nodes.nodes if isinstance(nodes, Path) else tuple(nodes)
     if not is_path(net, nodes):
         raise InvalidPath(f"not a path: {list(nodes)}")
     if not net.is_place(nodes[0]):
@@ -229,12 +239,10 @@ def can_expedite(net: PetriNet, m: Marking, seq: Sequence[str], i: int, j: int) 
     the j-th one's cluster may occur at positions i..j-1."""
     _check_indices(seq, i, j)
     s = tuple(seq)
-    if not sequence_enabled(net, m, s):
+    trace = _trace(net, m, s)
+    if len(trace) <= len(s):
         raise NotEnabled("the sequence itself is not enabled")
-    mover = s[j - 1]
-    if any(net.same_cluster(s[k], mover) for k in range(i - 1, j - 1)):
-        return False
-    return sequence_enabled(net, m, s[:i - 1] + (mover,))
+    return any(move == (i, j) for move, _ in _closure_neighbors(net, s, trace))
 
 
 @dataclass(frozen=True)
@@ -254,17 +262,57 @@ class Expedition:
         return seq
 
 
-def _closure_neighbors(net: PetriNet, m: Marking, seq: Tuple[str, ...]):
-    """All single expedite moves applicable to an enabled sequence."""
-    n = len(seq)
-    for j in range(2, n + 1):
+def _trace(net: PetriNet, m: Marking, seq: Tuple[str, ...]) -> List[dict]:
+    """The markings from ``m`` before every position of ``seq`` and after
+    its last, as far as it fires (see :func:`_replay`)."""
+    return _replay(net, [m._counts], seq, 0)
+
+
+def _replay(net: PetriNet, trace: List[dict], seq: Tuple[str, ...], k: int) -> List[dict]:
+    """The trace of ``seq`` that shares ``trace[:k + 1]``, the markings
+    before its first ``k + 1`` positions, as count dicts: ``seq[k:]`` is
+    fired step by step from ``trace[k]``.  It stops at the first step that
+    is not enabled, so it holds ``len(seq) + 1`` markings exactly when the
+    whole sequence fires.  Count dicts hold positive counts only and are
+    never changed once in a trace, so traces share them."""
+    out = trace[:k + 1]
+    counts = out[k]
+    for t in seq[k:]:
+        counts = _step(net, counts, t)
+        if counts is None:
+            break
+        out.append(counts)
+    return out
+
+
+def _step(net: PetriNet, counts: dict, t: str) -> Optional[dict]:
+    """:func:`fire` on a count dict: the new counts, or None when ``t`` is
+    not enabled."""
+    if t not in net._transition_set:
+        raise NodeNotFound(f"unknown transition {t!r}")
+    for p in net._pre[t]:
+        if p not in counts:
+            return None
+    return _fire_counts(net, counts, t)
+
+
+def _closure_neighbors(net: PetriNet, seq: Tuple[str, ...], trace: List[dict]):
+    """All single expedite moves applicable to a sequence, in order of
+    ``j``, then of ``i`` downward, read off its trace (see :func:`_replay`):
+    move (i, j) is legal iff ``trace[i - 1]`` exists and enables the mover
+    and no transition of the mover's cluster sits at positions i..j-1."""
+    cl = [net.cluster_of(t) for t in seq]
+    fired = len(trace)
+    for j in range(2, len(seq) + 1):
         mover = seq[j - 1]
+        c = cl[j - 1]
+        need = net._pre[mover]
         for i in range(j - 1, 0, -1):
             # walking i downward: once a same-cluster transition appears at
             # position i, smaller i are blocked too
-            if net.same_cluster(seq[i - 1], mover):
+            if cl[i - 1] is c:
                 break
-            if sequence_enabled(net, m, seq[:i - 1] + (mover,)):
+            if i <= fired and all(p in trace[i - 1] for p in need):
                 yield (i, j), expedite(seq, i, j)
 
 
@@ -281,7 +329,8 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
     """
     base = tuple(base)
     candidate = tuple(candidate)
-    if not sequence_enabled(net, m, base):
+    trace = _trace(net, m, base)
+    if len(trace) <= len(base):
         raise NotEnabled("base sequence is not enabled")
     if base == candidate:
         return Verdict(True)
@@ -290,18 +339,18 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
     if not sequence_enabled(net, m, candidate):
         return Verdict(False, reason="candidate is not enabled")
     seen = {base}
-    frontier = [base]
+    frontier = [(base, trace)]
     spent = 0
     while frontier:
         nxt = []
-        for seq in frontier:
-            for _, rewritten in _closure_neighbors(net, m, seq):
+        for seq, trace in frontier:
+            for (i, _), rewritten in _closure_neighbors(net, seq, trace):
                 if rewritten in seen:
                     continue
                 if rewritten == candidate:
                     return Verdict(True)
                 seen.add(rewritten)
-                nxt.append(rewritten)
+                nxt.append((rewritten, _replay(net, trace, rewritten, i - 1)))
                 spent += 1
                 if spent >= budget:
                     return Verdict(None, reason="search budget exceeded")
@@ -325,19 +374,20 @@ def expedite_split(net: PetriNet, m_from: Marking, seq: Sequence[str],
         raise NotEnabled("sequence is not enabled from m_from")
     allowed = frozenset(t_allow)
     done = 0
-    cur_alt = m_alt
+    cur_from, cur_alt = m_from, m_alt  # the markings after seq[:done]
     while True:
+        enabled_alt = enabled_transitions(net, cur_alt)
         pick = -1
         for j in range(done, len(seq)):
             t = seq[j]
-            if t not in allowed or t not in enabled_transitions(net, cur_alt):
+            if t not in allowed or t not in enabled_alt:
                 continue
             if j == done:
                 pick = j
                 break
             if any(net.same_cluster(seq[k], t) for k in range(done, j)):
                 continue
-            if not sequence_enabled(net, m_from, seq[:done] + [t]):
+            if not is_enabled(net, cur_from, t):
                 continue
             pick = j
             break
@@ -345,6 +395,7 @@ def expedite_split(net: PetriNet, m_from: Marking, seq: Sequence[str],
             break
         if pick != done:
             seq = seq[:done] + [seq[pick]] + seq[done:pick] + seq[pick + 1:]
+        cur_from = fire(net, cur_from, seq[done])
         cur_alt = fire(net, cur_alt, seq[done])
         done += 1
     return tuple(seq[:done]), tuple(seq[done:])
@@ -354,27 +405,33 @@ def verify_expedite_safe(net: PetriNet, m: Marking, seq: Sequence[str],
                          samples: int = 50) -> Verdict:
     """Replay up to ``samples`` expedited variants of an enabled sequence
     (breadth-first over single moves, deterministic order) and check that
-    each is enabled and reaches the same final marking."""
+    each is enabled and reaches the same final marking.
+
+    Each variant is fired from where it leaves its parent, on the parent's
+    trace, and compared with the marking the base sequence reached."""
     seq = tuple(seq)
-    expected = fire_sequence(net, m, seq)
+    trace = _trace(net, m, seq)
+    if len(trace) <= len(seq):
+        k = len(trace) - 1
+        raise NotEnabledAt(k, seq[k])
+    expected = trace[-1]
     seen = {seq}
-    frontier = [seq]
+    frontier = [(seq, trace)]
     checked = 0
     while frontier and checked < samples:
         nxt = []
-        for s in frontier:
-            for _, rewritten in _closure_neighbors(net, m, s):
+        for s, trace in frontier:
+            for (i, _), rewritten in _closure_neighbors(net, s, trace):
                 if rewritten in seen:
                     continue
                 seen.add(rewritten)
-                try:
-                    reached = fire_sequence(net, m, rewritten)
-                except NotEnabled:
+                replayed = _replay(net, trace, rewritten, i - 1)
+                if len(replayed) <= len(rewritten):
                     return Verdict(False, witness=rewritten, reason="variant not enabled")
-                if reached != expected:
+                if replayed[-1] != expected:
                     return Verdict(False, witness=rewritten, reason="final marking differs")
                 checked += 1
-                nxt.append(rewritten)
+                nxt.append((rewritten, replayed))
                 if checked >= samples:
                     break
             if checked >= samples:

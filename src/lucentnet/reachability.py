@@ -120,6 +120,10 @@ class ReachabilityGraph:
     def out_edges(self, i: int) -> Tuple[Tuple[str, int], ...]:
         return self._out[i]
 
+    def is_expanded(self, i: int) -> bool:
+        """State ``i`` had all its successors generated."""
+        return i < self._expanded
+
     def contains(self, m: Marking) -> bool:
         return m in self.index
 

@@ -100,11 +100,14 @@ def parse_net(text: str) -> NetDocument:
         elif kind == "arc":
             if len(fields) != 4 or fields[2] != "->":
                 raise ParseError(lineno, "expected: arc IDENT -> IDENT")
-            src = ident(fields[1], lineno)
-            dst = ident(fields[3], lineno)
-            for endpoint in (src, dst):
-                if endpoint not in declared:
-                    raise ParseError(lineno, f"unknown arc endpoint {endpoint!r}")
+            src, dst = fields[1], fields[3]
+            if src not in declared or dst not in declared:
+                # declared names are valid identifiers: only an unknown
+                # endpoint can be a bad one, and that error comes first
+                ident(src, lineno)
+                ident(dst, lineno)
+                unknown = src if src not in declared else dst
+                raise ParseError(lineno, f"unknown arc endpoint {unknown!r}")
             if declared[src] == declared[dst]:
                 raise ParseError(
                     lineno, f"arc {src} -> {dst} must connect a place and a transition")

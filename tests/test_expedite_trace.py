@@ -1,0 +1,263 @@
+"""The trace-based expediting in ``paths`` against the prefix-replay code it
+replaced (``expedite_oracle``), the suite's walks off the base graph
+against walks fired on the net, and a firing count that pins the cost of
+one ``verify_expedite_safe`` call."""
+
+import random
+
+import pytest
+
+from lucentnet import (ExplorationLimits, Marking, NetStructureError,
+                       NodeNotFound, NotEnabled, NotEnabledAt, PetriNet,
+                       all_reference_nets, can_expedite, explore,
+                       is_free_choice, suite_nets)
+from lucentnet import paths
+from lucentnet.corpus import _sample_walk
+import expedite_oracle
+from test_fast_short_circuit import forkjoin, ring
+from test_packed_explore import random_net
+
+SIGMA5 = ("t2", "t5", "t6", "t8", "t8")
+CAP = ExplorationLimits(max_states=2000)
+
+
+def walks(net, m0, seed, count=10, max_len=8):
+    """Seeded random walks of ``net`` from ``m0`` with at least two steps."""
+    rg = explore(net, m0, CAP)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        walk = _sample_walk(net, m0, rng, max_len, rg=rg)
+        if len(walk) >= 2:
+            out.append(walk)
+    return out
+
+
+def assert_same(net, m0, walk, deep=True):
+    """Moves, legality and verdicts agree with the oracle on one walk."""
+    moves = list(expedite_oracle.closure_neighbors(net, m0, walk))
+    assert list(paths._closure_neighbors(net, walk, paths._trace(net, m0, walk))) == moves
+    legal = {move for move, _ in moves}
+    n = len(walk)
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            assert can_expedite(net, m0, walk, i, j) == ((i, j) in legal)
+    for samples in (5, 50) if deep else (5,):
+        assert (paths.verify_expedite_safe(net, m0, walk, samples)
+                == expedite_oracle.verify_expedite_safe(net, m0, walk, samples))
+
+
+def non_free_choice_nets(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            net, m0 = random_net(rng)
+        except NetStructureError:
+            continue
+        if not is_free_choice(net):
+            out.append((net, m0))
+    return out
+
+
+def test_reference_nets_match_oracle():
+    for ref in all_reference_nets():
+        for walk in walks(ref.net, ref.initial, ref.ident, count=20):
+            assert_same(ref.net, ref.initial, walk)
+    n5 = next(ref for ref in all_reference_nets() if ref.ident == "n5")
+    assert_same(n5.net, n5.initial, SIGMA5)
+    # long concurrent walks: most pairs of positions can swap
+    for k in (3, 5):
+        net, m0 = forkjoin(k)
+        for walk in walks(net, m0, k, count=5, max_len=3 * k):
+            assert_same(net, m0, walk)
+
+
+@pytest.mark.parametrize("seed", [0, 31337])
+def test_suite_nets_match_oracle(seed):
+    moved = 0
+    for k, (name, net, m0) in enumerate(suite_nets(random_count=300, seed=seed)):
+        for walk in walks(net, m0, name, count=4):
+            assert_same(net, m0, walk, deep=k % 4 == 0)
+            moved += paths.verify_expedite_safe(net, m0, walk, 5).witness > 0
+    assert moved > 100
+
+
+def test_non_free_choice_nets_match_oracle():
+    moved = 0
+    for net, m0 in non_free_choice_nets(300, seed=77):
+        for walk in walks(net, m0, repr(sorted(net.flow)), count=3):
+            assert_same(net, m0, walk)
+            moved += paths.verify_expedite_safe(net, m0, walk, 5).witness > 0
+    assert moved > 100
+
+
+def _careless_oracle(net, m, seq):
+    """The oracle's moves without the cluster rule."""
+    for j in range(2, len(seq) + 1):
+        for i in range(j - 1, 0, -1):
+            if paths.sequence_enabled(net, m, seq[:i - 1] + (seq[j - 1],)):
+                yield (i, j), paths.expedite(seq, i, j)
+
+
+def _careless_trace(net, seq, trace):
+    """The trace-based moves without the cluster rule."""
+    for j in range(2, len(seq) + 1):
+        for i in range(j - 1, 0, -1):
+            if i <= len(trace) and all(p in trace[i - 1] for p in net.preset(seq[j - 1])):
+                yield (i, j), paths.expedite(seq, i, j)
+
+
+def test_failing_branch_matches_oracle(monkeypatch):
+    # a legal move never disables a sequence or changes its final marking
+    # (the mover's preset is disjoint from those it overtakes), so only moves
+    # that break the cluster rule reach the "variant not enabled" branch
+    monkeypatch.setattr(paths, "_closure_neighbors", _careless_trace)
+    reasons = set()
+    nets = non_free_choice_nets(100, seed=5)
+    nets += [(ref.net, ref.initial) for ref in all_reference_nets()]
+    for net, m0 in nets:
+        for walk in walks(net, m0, repr(sorted(net.flow)), count=3):
+            for samples in (5, 50):
+                got = paths.verify_expedite_safe(net, m0, walk, samples)
+                want = expedite_oracle.verify_expedite_safe(net, m0, walk, samples,
+                                                            neighbors=_careless_oracle)
+                assert got == want
+                reasons.add(got.reason)
+    assert reasons == {"", "variant not enabled"}
+
+
+def test_expedited_member_matches_oracle(n5):
+    cases = [(SIGMA5, SIGMA5), (SIGMA5, ("t2", "t6", "t5", "t8", "t8")),
+             (SIGMA5, ("t2", "t8", "t5", "t6", "t8")), (SIGMA5, ("t2", "t5", "t6", "t8")),
+             (SIGMA5, ("t5", "t2", "t6", "t8", "t8"))]
+    for base, candidate in cases:
+        assert (paths.expedited_member(n5.net, n5.initial, base, candidate)
+                == expedite_oracle.expedited_member(n5.net, n5.initial, base, candidate))
+    rng = random.Random(3)
+    reasons = set()
+    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
+    nets += [forkjoin(3), ring(5)] + non_free_choice_nets(60, seed=9)
+    for net, m0 in nets:
+        for base in walks(net, m0, repr(sorted(net.flow)), count=3):
+            variants = [r for _, r in expedite_oracle.closure_neighbors(net, m0, base)]
+            shuffled = list(base)
+            rng.shuffle(shuffled)
+            for candidate in variants[:3] + [tuple(shuffled), base[::-1], base[1:]]:
+                for budget in (3, 10_000):
+                    got = paths.expedited_member(net, m0, base, candidate, budget)
+                    assert got == expedite_oracle.expedited_member(net, m0, base, candidate,
+                                                                   budget)
+                    reasons.add((got.value, got.reason))
+    assert {r for _, r in reasons} >= {"", "not a permutation of the base",
+                                       "candidate is not enabled", "closure exhausted",
+                                       "search budget exceeded"}
+
+
+def test_expedite_split_matches_oracle():
+    rng = random.Random(12)
+    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
+    nets += [forkjoin(4)] + non_free_choice_nets(100, seed=13)
+    moved = 0
+    for net, m0 in nets:
+        states = explore(net, m0, CAP).states
+        for seq in walks(net, m0, repr(sorted(net.flow)), count=3):
+            for _ in range(3):
+                m_alt = rng.choice(states)
+                allowed = rng.sample(net.transitions, rng.randint(0, len(net.transitions)))
+                got = paths.expedite_split(net, m0, seq, m_alt, allowed)
+                assert got == expedite_oracle.expedite_split(net, m0, seq, m_alt, allowed)
+                moved += got[0] != seq[:len(got[0])]
+    assert moved > 0
+
+
+def test_base_errors_match_fire_sequence(n5):
+    with pytest.raises(NotEnabledAt) as err:
+        paths.verify_expedite_safe(n5.net, n5.initial, ("t2", "t6", "t1"))
+    assert (err.value.index, err.value.transition) == (2, "t1")
+    with pytest.raises(NodeNotFound):
+        paths.verify_expedite_safe(n5.net, n5.initial, ("t2", "zz"))
+    with pytest.raises(NotEnabled):
+        paths.expedited_member(n5.net, n5.initial, ("t5",), ("t5",))
+
+
+# -- walks off the base graph ---------------------------------------------------
+
+
+def assert_same_walks(net, m0, limits, seed, max_len=8, count=10):
+    """Walks along the graph of ``(net, m0)`` equal walks fired on the net,
+    and draw the same random numbers."""
+    rg = explore(net, m0, limits)
+    fired, along = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        assert (_sample_walk(net, m0, along, max_len, rg=rg)
+                == _sample_walk(net, m0, fired, max_len))
+        assert along.getstate() == fired.getstate()
+    return rg
+
+
+def test_walks_on_complete_graphs():
+    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
+    nets += [forkjoin(4), ring(6)]
+    nets += [(net, m0) for _, net, m0 in suite_nets(random_count=60, seed=4)]
+    verdicts = [assert_same_walks(net, m0, None, k, max_len=12).verdict
+                for k, (net, m0) in enumerate(nets)]
+    assert verdicts.count("complete") > 40  # the rest are unbounded
+
+
+def test_walks_past_a_truncated_graph():
+    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
+    nets += [forkjoin(4), ring(6)]
+    for k, (net, m0) in enumerate(nets):
+        for cap in (1, 2, 3, 4):
+            rg = assert_same_walks(net, m0, ExplorationLimits(max_states=cap), k, max_len=12)
+            assert len(rg.states) <= cap
+
+
+def test_walks_past_an_unbounded_graph():
+    # t pumps a token into q on every round of the p loop
+    net = PetriNet(["p", "q"], ["t", "u"], [("p", "t"), ("t", "p"), ("t", "q"), ("q", "u")])
+    rg = assert_same_walks(net, Marking.of("p"), None, 1, max_len=12, count=20)
+    assert rg.verdict == "unbounded"
+
+
+# -- the cost of one verify_expedite_safe call -----------------------------------
+
+
+def test_each_variant_is_fired_from_where_it_diverges(monkeypatch):
+    """At most ``len(seq)`` firings for the base plus ``len(seq) - i + 1``
+    per variant replayed from position i, and no prefix replay."""
+    fired = []
+    moves = []
+    step = paths._step
+    neighbors = paths._closure_neighbors
+
+    def counting(net, counts, t):
+        fired.append(t)
+        return step(net, counts, t)
+
+    def recording(net, seq, trace):
+        for move, rewritten in neighbors(net, seq, trace):
+            moves.append((move, rewritten))
+            yield move, rewritten
+
+    def forbidden(*args):
+        raise AssertionError("prefix replay")
+
+    monkeypatch.setattr(paths, "_step", counting)
+    monkeypatch.setattr(paths, "_closure_neighbors", recording)
+    monkeypatch.setattr(paths, "sequence_enabled", forbidden)
+    monkeypatch.setattr(paths, "fire", forbidden)
+    net, m0 = forkjoin(4)
+    seq = ("tf", "tx0", "ty1", "tx2", "ty3", "tj", "tf", "tx3", "tx2")
+    for samples in (5, 50, 10_000):
+        del fired[:], moves[:]
+        v = paths.verify_expedite_safe(net, m0, seq, samples)
+        first = {}
+        for (i, _), rewritten in moves:
+            if rewritten != seq:
+                first.setdefault(rewritten, i)
+        assert v.value is True and v.witness == len(first) <= samples
+        n = len(seq)
+        assert len(fired) <= n + sum(n - i + 1 for i in first.values())
+    assert 5 < len(first) < 10_000  # the last call exhausted the closure

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from lucentnet import (BadIndices, Expedition, InvalidPath, Marking, NotEnabled,
-                       PetriNet, can_expedite, disentangle, expedite,
+                       Path, PetriNet, can_expedite, disentangle, expedite,
                        expedite_split, expedited_member, find_rooted_path,
                        fire_sequence, is_circuit, is_disentangled,
                        is_elementary, is_path, is_q_rooted,
                        sequence_to_multiset, verify_expedite_safe,
                        verify_path_safety)
 from lucentnet.corpus import GeneratorParams, generate
-from lucentnet.paths import _closure_neighbors
+from lucentnet.paths import _closure_neighbors, _trace
 
 SIGMA5 = ("t2", "t5", "t6", "t8", "t8")
 
@@ -63,6 +63,15 @@ def test_disentangle_identity_and_truncation(n3):
     assert disentangle(n3.net, already, cluster1).nodes == already
     # starting inside the target cluster collapses to a single place
     assert disentangle(n3.net, ("p1", "t1", "p2", "t2", "p1"), cluster1).nodes == ("p1",)
+
+
+def test_disentangle_accepts_a_path(n1, n3):
+    c4 = next(c for c in n1.net.clusters() if c.places == ("p4",))
+    path = find_rooted_path(n1.net, n1.initial, "p1", c4).path
+    assert disentangle(n1.net, path, c4) == disentangle(n1.net, path.nodes, c4)
+    cluster1 = next(c for c in n3.net.clusters() if "p1" in c.places)
+    rho = Path.of(n3.net, ("p6", "t4", "p5", "t3", "p3", "t2", "p4", "t3", "p3", "t2", "p1"))
+    assert disentangle(n3.net, rho, cluster1) == disentangle(n3.net, rho.nodes, cluster1)
 
 
 def test_disentangle_rejects_bad_input(n3):
@@ -158,7 +167,8 @@ def test_expedited_variants_invariants(n5):
     while frontier:
         nxt = []
         for seq in frontier:
-            for _, rewritten in _closure_neighbors(n5.net, n5.initial, seq):
+            trace = _trace(n5.net, n5.initial, seq)
+            for _, rewritten in _closure_neighbors(n5.net, seq, trace):
                 if rewritten in seen:
                     continue
                 seen.add(rewritten)

@@ -102,6 +102,21 @@ def test_unknown_arc_endpoint():
     assert err.line == 5 and "unknown arc endpoint" in str(err)
 
 
+def test_arc_endpoint_errors_name_the_first_fault():
+    # a bad identifier is reported before an unknown endpoint, whichever
+    # endpoint it is; a declared endpoint is never the bad one
+    head = "net x\nplace a\ntrans t\n"
+    for arc, message in (("arc 9a -> t", "bad identifier '9a'"),
+                         ("arc a -> 9t", "bad identifier '9t'"),
+                         ("arc u -> 9t", "bad identifier '9t'"),
+                         ("arc 9u -> v", "bad identifier '9u'"),
+                         ("arc u -> t", "unknown arc endpoint 'u'"),
+                         ("arc a -> u", "unknown arc endpoint 'u'"),
+                         ("arc u -> v", "unknown arc endpoint 'u'")):
+        err = _parse_error(head + arc + "\n")
+        assert err.line == 4 and message in str(err), arc
+
+
 def test_illegal_arc_kind():
     err = _parse_error("net x\nplace a\nplace b\ntrans t\narc a -> t\narc a -> b\n")
     assert err.line == 6 and "must connect a place and a transition" in str(err)
