@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 = analyses completed; 1 = the subcommand checks a property
-and found it violated; 2 = input error; 3 = undecided (the exploration
-was truncated before an answer was reached).
+and found it violated; 2 = input error; 3 = a verdict stayed undecided:
+the exploration was truncated, or ``home-clusters`` found no home cluster
+and could not decide some cluster (the direct method on an unbounded net,
+the short-circuit method where it does not apply or its short-circuited
+net's exploration was truncated).
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ def _cmd_lucency(args, limits) -> int:
             payload["witness"] = _markings_json(verdict.witness)
             payload["footprint"] = list(verdict.footprint or ())
         if verdict.unbounded:
-            payload["unbounded_witness"] = {"stem": list(verdict.unbounded.stem),
-                                            "pump": list(verdict.unbounded.pump)}
+            payload["unbounded_witness"] = report._unbounded(verdict.unbounded)
         print(json.dumps(payload, indent=2))
     else:
         if verdict.lucent is True:
@@ -179,8 +181,7 @@ def _cmd_reach(args, limits) -> int:
             "terminal_sccs": [list(c) for c in rg.terminal_sccs()],
         }
         if rg.unbounded_witness:
-            payload["unbounded_witness"] = {"stem": list(rg.unbounded_witness.stem),
-                                            "pump": list(rg.unbounded_witness.pump)}
+            payload["unbounded_witness"] = report._unbounded(rg.unbounded_witness)
         print(json.dumps(payload, indent=2))
     else:
         print(f"{name}: {rg.verdict}, {len(rg.states)} states, {len(rg.edges)} edges")

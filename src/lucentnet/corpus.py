@@ -472,6 +472,9 @@ def generate(params: GeneratorParams) -> Tuple[PetriNet, Marking]:
 # -- the suite ----------------------------------------------------------------
 
 
+_WALKS_PER_NET = 10  # random walks replayed expedited, per free-choice net
+
+
 @dataclass
 class SuiteReport:
     nets: int = 0
@@ -517,8 +520,7 @@ def _sample_walk(net, m0, rng, max_len=8, rg=None):
 
 
 def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
-                      limits: Optional[ExplorationLimits] = None,
-                      walks_per_net: int = 10) -> SuiteReport:
+                      limits: Optional[ExplorationLimits] = None) -> SuiteReport:
     """Evaluate every documented implication on every net.
 
     A check whose hypotheses do not hold (or whose exploration was
@@ -527,11 +529,11 @@ def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
     """
     report = SuiteReport(nets=len(nets))
     for name, net, m0 in nets:
-        _run_net_checks(report, name, net, m0, limits, walks_per_net)
+        _run_net_checks(report, name, net, m0, limits)
     return report
 
 
-def _run_net_checks(report, name, net, m0, limits, walks_per_net):
+def _run_net_checks(report, name, net, m0, limits):
     rg = explore(net, m0, limits)
     fc = is_free_choice(net)
     proper = is_proper(net)
@@ -622,7 +624,7 @@ def _run_net_checks(report, name, net, m0, limits, walks_per_net):
         rng = random.Random(f"suite:{name}")
         failures = []
         replayed = 0
-        for _ in range(walks_per_net):
+        for _ in range(_WALKS_PER_NET):
             walk = _sample_walk(net, m0, rng, rg=rg)
             if len(walk) < 2:
                 continue

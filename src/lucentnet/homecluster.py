@@ -26,12 +26,12 @@ from typing import FrozenSet, Iterator, Optional, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
-from .lucency import check_lucency
+from .lucency import check_lucency, check_no_dominating
 from .net import (Cluster, Marking, PetriNet, connectivity, is_free_choice,
                   is_proper, mrk)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
-                           explore, is_deadlock_free, is_live,
-                           is_live_and_bounded, is_safe)
+                           dead_transitions, explore, is_deadlock_free,
+                           is_live, is_live_and_bounded, is_safe)
 
 
 def conn(net: PetriNet, m0: Marking) -> FrozenSet[str]:
@@ -114,7 +114,11 @@ def _attach_ring(cleaned: PetriNet, cluster: Cluster, m0: Marking,
     arcs = sorted(cleaned.flow)
     arcs += [(p, fresh) for p in cluster.places]
     arcs += [(fresh, p) for p in m0.support()]
-    built = PetriNet(cleaned.places, cleaned.transitions + (fresh,), arcs)
+    try:
+        built = PetriNet(cleaned.places, cleaned.transitions + (fresh,), arcs)
+    except NetStructureError as exc:
+        # a cluster without places on an empty initial marking: tC has no arcs
+        raise CleanedNetInvalid(f"short-circuited net is not a valid net: {exc}") from exc
     return ShortCircuitResult(built, fresh, removed)
 
 
@@ -257,12 +261,15 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
             elif not set(cluster.nodes()) <= kept:
                 notes.append("short-circuit: cluster does not survive cleaning")
             else:
-                if rings or read is None:
-                    ring = _attach_ring(cleaned, cluster, m0, removed)
-                    ring_v, graph = _ring_verdict(ring, m0, limits)
-                sc_v = read(cluster, marking) if read else ring_v.value
-                if sc_v is None:
-                    notes.append("short-circuit: exploration incomplete")
+                try:
+                    if rings or read is None:
+                        ring = _attach_ring(cleaned, cluster, m0, removed)
+                        ring_v, graph = _ring_verdict(ring, m0, limits)
+                    sc_v = read(cluster, marking) if read else ring_v.value
+                    if sc_v is None:
+                        notes.append("short-circuit: exploration incomplete")
+                except CleanedNetInvalid:
+                    notes.append("short-circuit: not applicable to this cluster")
         is_home = direct_v if direct_v is not None else sc_v
         yield (ClusterDetail(cluster, marking, is_home, direct_v, sc_v, "; ".join(notes)),
                ring, ring_v, graph)
@@ -280,24 +287,19 @@ def _ring_reader(net, rg, cleaned, limits):
     ``rg`` strictly dominates the root.  Otherwise tC fires only at Mrk(C),
     the ring's graph is ``rg`` plus the edge Mrk(C) -> m0, and it is live
     exactly when Mrk(C) is a home marking and every cleaned transition
-    labels an edge of ``rg``.
+    labels an edge of ``rg``.  The verdict is therefore the conjunction of
+    :func:`dead_transitions` (empty), :meth:`ReachabilityGraph.is_home` and
+    :func:`check_no_dominating`.
     """
     if not (rg.complete and len(rg.states) <= (limits or ExplorationLimits()).max_states):
         return None
-    fired = {t for _, t, _ in rg.edges}
-    all_fire = fired.issuperset(cleaned.transitions)
-    # a marking above Mrk(C) marks a place of C: a cluster without places
-    # is a transition with an empty preset and some output, so its net is
-    # unbounded and never has a complete graph
-    cluster_of = {p: c for c in net.clusters() for p in c.places}
-    above = set()
-    for m in rg.states:
-        tokens = len(m)
-        for p in m.support():
-            c = cluster_of[p]
-            if tokens > len(c.places) and all(q in m for q in c.places):
-                above.add(c)
-    return lambda cluster, marking: all_fire and cluster not in above and rg.is_home(marking)
+    all_fire = not dead_transitions(cleaned, rg)
+    # a marking strictly above Mrk(C) holds more tokens than Mrk(C)
+    fullest = max(map(len, rg.states))
+    return lambda cluster, marking: (
+        all_fire and rg.is_home(marking)
+        and (len(marking) >= fullest
+             or check_no_dominating(net, rg.states[0], cluster, limits, rg=rg).value))
 
 
 def _disagreement(d: ClusterDetail) -> str:

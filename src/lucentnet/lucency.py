@@ -93,20 +93,14 @@ class ConflictPair:
     m2: Marking
 
 
-def _pair_conditions(net: PetriNet, m1: Marking, m2: Marking) -> bool:
+def _pair_conditions(net: PetriNet, en1: FrozenSet[str], sup1: FrozenSet[str],
+                     en2: FrozenSet[str], sup2: FrozenSet[str]) -> bool:
     """The four marking-local conflict-pair conditions (everything except
-    reachability)."""
-    en1 = enabled_transitions(net, m1)
-    en2 = enabled_transitions(net, m2)
-    if not en1 or not en2 or (en1 & en2):
+    reachability), on the two markings' enabled sets and marked places."""
+    if not en1 or not en2 or not en1.isdisjoint(en2):
         return False
-    sup1 = frozenset(m1.support())
-    sup2 = frozenset(m2.support())
-    if any(net.preset(t).isdisjoint(sup2) for t in en1):
-        return False
-    if any(net.preset(t).isdisjoint(sup1) for t in en2):
-        return False
-    return True
+    return not (any(net.preset(t).isdisjoint(sup2) for t in en1)
+                or any(net.preset(t).isdisjoint(sup1) for t in en2))
 
 
 def verify_conflict_pair(net: PetriNet, rg: ReachabilityGraph,
@@ -116,7 +110,8 @@ def verify_conflict_pair(net: PetriNet, rg: ReachabilityGraph,
     of every transition the other enables marked."""
     if not (rg.contains(m1) and rg.contains(m2)):
         return False
-    return _pair_conditions(net, m1, m2)
+    return _pair_conditions(net, enabled_transitions(net, m1), frozenset(m1.support()),
+                            enabled_transitions(net, m2), frozenset(m2.support()))
 
 
 def find_conflict_pairs(net: PetriNet, m0: Marking,
@@ -142,9 +137,7 @@ def find_conflict_pairs(net: PetriNet, m0: Marking,
         for j in range(i + 1, n):
             if not fps[j] or not fps[i].isdisjoint(fps[j]):
                 continue
-            if any(net.preset(t).isdisjoint(sups[j]) for t in fps[i]):
-                continue
-            if any(net.preset(t).isdisjoint(sups[i]) for t in fps[j]):
+            if not _pair_conditions(net, fps[i], sups[i], fps[j], sups[j]):
                 continue
             found.append(ConflictPair(rg.states[i], rg.states[j]))
             if max_pairs is not None and len(found) >= max_pairs:
@@ -226,9 +219,8 @@ def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
         sigma: List[str] = []
         seen = {(cur1, cur2)}
         while True:
-            enabled = sorted(t for t in allowed
-                             if t in enabled_transitions(net, cur1)
-                             and t in enabled_transitions(net, cur2))
+            en1, en2 = enabled_transitions(net, cur1), enabled_transitions(net, cur2)
+            enabled = sorted(allowed & en1 & en2)
             if not enabled:
                 break
             t = enabled[0]
@@ -253,17 +245,15 @@ def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
         sigma = list(s1)
         cur1 = fire_sequence(net, m1, sigma)
         cur2 = fire_sequence(net, m2, sigma)
+        en1, en2 = enabled_transitions(net, cur1), enabled_transitions(net, cur2)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if rg is not None:
-        ok = verify_conflict_pair(net, rg, cur1, cur2)
-    else:
-        # without the caller's state space, check reachability from the
-        # inputs themselves (firing sigma already proves it) and the
-        # marking-local conditions
-        ok = _pair_conditions(net, cur1, cur2)
-    if not ok:
+    # firing sigma proves both reachable from the inputs; the caller's state
+    # space, when given, must hold them too
+    reachable = rg is None or (rg.contains(cur1) and rg.contains(cur2))
+    if not (reachable and _pair_conditions(net, en1, frozenset(cur1.support()),
+                                           en2, frozenset(cur2.support()))):
         raise ConstructionFailed(
             f"derived pair ({cur1.pretty()}, {cur2.pretty()}) failed verification; "
             "the net likely violates the construction's assumptions")

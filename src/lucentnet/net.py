@@ -50,9 +50,6 @@ class Marking:
     def count(self, place: str) -> int:
         return self._counts.get(place, 0)
 
-    def __getitem__(self, place: str) -> int:
-        return self.count(place)
-
     def __contains__(self, place: str) -> bool:
         return self.count(place) > 0
 
@@ -253,12 +250,6 @@ class PetriNet:
         out: set = set()
         for x in nodes:
             out |= self.preset(x)
-        return frozenset(out)
-
-    def postset_of_set(self, nodes: Iterable[str]) -> FrozenSet[str]:
-        out: set = set()
-        for x in nodes:
-            out |= self.postset(x)
         return frozenset(out)
 
     # -- clusters ---------------------------------------------------------

@@ -74,9 +74,6 @@ class Verdict:
     reason: str = ""
     witness: Any = None
 
-    def decided(self) -> bool:
-        return self.value is not None
-
 
 class ReachabilityGraph:
     """Explored markings plus transition-labeled edges, and the facts

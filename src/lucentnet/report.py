@@ -13,9 +13,10 @@ from typing import Optional
 
 from .net import (Marking, PetriNet, connectivity, is_free_choice, is_proper,
                   net_class)
-from .reachability import (ExplorationLimits, bound_k, dead_places,
-                           dead_transitions, explore, home_markings,
-                           is_deadlock_free, is_live, is_perpetual)
+from .reachability import (ExplorationLimits, UnboundednessWitness, bound_k,
+                           dead_places, dead_transitions, explore,
+                           home_markings, is_deadlock_free, is_live,
+                           is_perpetual)
 from . import homecluster, lucency
 
 SCHEMA_VERSION = 1
@@ -31,9 +32,13 @@ def _witness_pair(pair):
     return [_marking(pair[0]), _marking(pair[1])]
 
 
+def _unbounded(w: UnboundednessWitness) -> dict:
+    """An unboundedness witness as JSON, for the report and the CLI."""
+    return {"stem": list(w.stem), "pump": list(w.pump)}
+
+
 def build_report(name: str, net: PetriNet, m0: Marking,
-                 limits: Optional[ExplorationLimits] = None,
-                 method: str = "both") -> dict:
+                 limits: Optional[ExplorationLimits] = None) -> dict:
     limits = limits or ExplorationLimits()
     rg = explore(net, m0, limits)
 
@@ -54,10 +59,7 @@ def build_report(name: str, net: PetriNet, m0: Marking,
         "edges": len(rg.edges),
     }
     if rg.unbounded_witness is not None:
-        exploration["unbounded_witness"] = {
-            "stem": list(rg.unbounded_witness.stem),
-            "pump": list(rg.unbounded_witness.pump),
-        }
+        exploration["unbounded_witness"] = _unbounded(rg.unbounded_witness)
 
     bounded = bound_k(net, m0, limits, rg=rg)
     live = is_live(net, m0, limits, rg=rg)
@@ -92,7 +94,7 @@ def build_report(name: str, net: PetriNet, m0: Marking,
                               "witness": _marking(transparent.witness)},
     }
 
-    hc = homecluster.find_home_clusters(net, m0, limits, method=method, rg=rg)
+    hc = homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
     home_block = {
         "method": hc.method,
         "home_clusters": [list(c.nodes()) for c in hc.home_clusters],
