@@ -5,7 +5,8 @@ and found it violated; 2 = input error; 3 = a verdict stayed undecided:
 the exploration was truncated, or ``home-clusters`` found no home cluster
 and could not decide some cluster (the direct method on an unbounded net,
 the short-circuit method where it does not apply or its short-circuited
-net's exploration was truncated).
+net's exploration was truncated); 130 = interrupted by Ctrl-C
+(``error: interrupted`` on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERRUPTED = 130
 
 
 def _common(parser):
@@ -103,6 +105,9 @@ def main(argv=None) -> int:
     except LucentNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION if isinstance(exc, TheoremViolation) else EXIT_INPUT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _cmd_analyze(args, limits) -> int:

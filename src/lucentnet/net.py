@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import NetStructureError, NodeNotFound, NotEnabled, NotEnabledAt
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENTS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\n[A-Za-z_][A-Za-z0-9_]*)*\Z")  # "\n"-joined
 
 Arc = Tuple[str, str]
 
@@ -127,7 +129,8 @@ class PetriNet:
 
     Construction validates identifiers, endpoint existence, arc direction
     (place<->transition only), duplicate arcs, and weak connectedness of
-    the underlying graph.  Arc multiplicities are not supported.
+    the underlying graph, each in bulk; only a failed check loops over the
+    items, to name the first offender.  Arc multiplicities are not supported.
     """
 
     __slots__ = ("places", "transitions", "flow", "_pre", "_post", "_nodes",
@@ -138,70 +141,67 @@ class PetriNet:
                  arcs: Iterable[Arc]):
         place_list = list(places)
         transition_list = list(transitions)
-        arc_list = [tuple(a) for a in arcs]
+        arc_list = list(map(tuple, arcs))
 
-        for name in place_list + transition_list:
+        names = place_list + transition_list
+        try:  # one regex over all names; a name holding "\n" reads as two
+            joined = "\n".join(names)
+            named = joined.count("\n") == len(names) - 1 and _IDENTS.match(joined)
+        except TypeError:  # a name that is not a str
+            named = False
+        for name in [] if named else names:
             if not isinstance(name, str) or not _IDENT.match(name):
                 raise NetStructureError(f"bad identifier: {name!r}")
         if not place_list or not transition_list:
             raise NetStructureError("a net needs at least one place and one transition")
-        if len(set(place_list)) != len(place_list):
-            raise NetStructureError("duplicate place declarations")
-        if len(set(transition_list)) != len(transition_list):
-            raise NetStructureError("duplicate transition declarations")
         place_set = set(place_list)
         transition_set = set(transition_list)
+        if len(place_set) != len(place_list):
+            raise NetStructureError("duplicate place declarations")
+        if len(transition_set) != len(transition_list):
+            raise NetStructureError("duplicate transition declarations")
         overlap = place_set & transition_set
         if overlap:
             raise NetStructureError(f"identifiers used as both place and transition: {sorted(overlap)}")
 
+        self.places: Tuple[str, ...] = tuple(sorted(place_list))
+        self.transitions: Tuple[str, ...] = tuple(sorted(transition_list))
+        self._nodes = nodes = self.places + self.transitions
+        pre: Dict[str, list] = {x: [] for x in nodes}
+        post: Dict[str, list] = {x: [] for x in nodes}
+        try:
+            self.flow: FrozenSet[Arc] = frozenset(arc_list)
+            for src, dst in arc_list:
+                post[src].append(dst)
+                pre[dst].append(src)
+            sound = (len(self.flow) == len(arc_list)  # no repeated arc, none within a kind
+                     and place_set.isdisjoint(chain(*map(post.get, place_list)))
+                     and transition_set.isdisjoint(chain(*map(post.get, transition_list))))
+        except (KeyError, TypeError, ValueError):  # not a pair, or an endpoint not a node
+            sound = False
         seen = set()
-        for src, dst in arc_list:
+        for src, dst in [] if sound else arc_list:
             if (src, dst) in seen:
                 raise NetStructureError(f"duplicate arc {src} -> {dst}")
             seen.add((src, dst))
-            src_place = src in place_set
-            dst_place = dst in place_set
-            if src not in place_set and src not in transition_set:
-                raise NetStructureError(f"arc endpoint {src!r} is not a node")
-            if dst not in place_set and dst not in transition_set:
-                raise NetStructureError(f"arc endpoint {dst!r} is not a node")
-            if src_place == dst_place:
+            for end in (src, dst):
+                if end not in place_set and end not in transition_set:
+                    raise NetStructureError(f"arc endpoint {end!r} is not a node")
+            if (src in place_set) == (dst in place_set):
                 raise NetStructureError(f"arc {src} -> {dst} must connect a place and a transition")
 
-        self.places: Tuple[str, ...] = tuple(sorted(place_list))
-        self.transitions: Tuple[str, ...] = tuple(sorted(transition_list))
-        self.flow: FrozenSet[Arc] = frozenset(seen)
+        reached = _reachable(nodes[0], pre, post)
+        if len(reached) != len(nodes):
+            raise NetStructureError(f"net is not weakly connected; unreachable from {nodes[0]}: "
+                                    f"{sorted(set(nodes) - reached)}")
 
-        pre: Dict[str, set] = {x: set() for x in self.places + self.transitions}
-        post: Dict[str, set] = {x: set() for x in self.places + self.transitions}
-        for src, dst in self.flow:
-            post[src].add(dst)
-            pre[dst].add(src)
         self._pre = {x: frozenset(s) for x, s in pre.items()}
         self._post = {x: frozenset(s) for x, s in post.items()}
-        self._nodes = self.places + self.transitions
-        self._place_set = frozenset(self.places)
-        self._transition_set = frozenset(self.transitions)
+        self._place_set = frozenset(place_set)
+        self._transition_set = frozenset(transition_set)
         self._compiled: Optional[Compiled] = None  # built on first use
         self._clusters: Optional[Tuple[Cluster, ...]] = None
         self._cluster_of: Optional[Dict[str, Cluster]] = None
-
-        self._check_weakly_connected()
-
-    def _check_weakly_connected(self):
-        start = self._nodes[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in self._pre[x] | self._post[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(self._nodes):
-            missing = sorted(set(self._nodes) - seen)
-            raise NetStructureError(f"net is not weakly connected; unreachable from {start}: {missing}")
 
     # -- identity ---------------------------------------------------------
 
@@ -468,16 +468,16 @@ def is_proper(net: PetriNet) -> bool:
     return all(net.preset(t) and net.postset(t) for t in net.transitions)
 
 
-def _reachable(net: PetriNet, start: str, forward: bool) -> set:
-    seen = {start}
+def _reachable(start: str, *steps: Mapping[str, Iterable[str]]) -> set:
+    """The nodes reachable from ``start`` along any of the adjacency maps."""
+    seen = set()
     stack = [start]
-    step = net._post if forward else net._pre
     while stack:
         x = stack.pop()
-        for y in step[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+        if x not in seen:
+            seen.add(x)
+            for step in steps:
+                stack += step[x]
     return seen
 
 
@@ -489,7 +489,7 @@ def connectivity(net: PetriNet) -> str:
     """
     start = net.nodes()[0]
     n = len(net.nodes())
-    if len(_reachable(net, start, True)) == n and len(_reachable(net, start, False)) == n:
+    if len(_reachable(start, net._post)) == n and len(_reachable(start, net._pre)) == n:
         return "strong"
     return "weak"
 

@@ -1,6 +1,6 @@
 """Line-oriented net documents: parsing and normalized serialization.
 
-Grammar (one statement per line, ``#`` starts a comment):
+Grammar (one statement per line, lines end at "\\n" only, ``#`` starts a comment):
 
     net IDENT
     place IDENT [init NAT]
@@ -16,10 +16,10 @@ fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NetStructureError, ParseError
-from .net import _IDENT, Arc, Marking, PetriNet
+from .net import Arc, Marking, PetriNet
 
 MAX_INIT_TOKENS = 1_000_000
 
@@ -37,7 +37,7 @@ class NetDocument:
         """The net and its initial marking, built once per document."""
         if self._built is None:
             net = PetriNet([p for p, _ in self.places], self.transitions, self.arcs)
-            marking = Marking.from_counts({p: n for p, n in self.places})
+            marking = Marking.from_counts(dict(self.places))
             object.__setattr__(self, "_built", (net, marking))
         return self._built
 
@@ -46,33 +46,56 @@ class NetDocument:
                            tuple(sorted(self.transitions)), tuple(sorted(self.arcs)))
 
 
+def _ident(token: str, lineno: int, declared=()) -> str:
+    if token in declared:  # a declared name is valid, so this check may come first
+        raise ParseError(lineno, f"duplicate identifier {token!r}")
+    # an ASCII str.isidentifier() is exactly net._IDENT, and cheaper to test
+    if not (token.isascii() and token.isidentifier()):
+        raise ParseError(lineno, f"bad identifier {token!r}")
+    return token
+
+
 def parse_net(text: str) -> NetDocument:
-    name = None
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if fields:
+            break
+    else:
+        raise ParseError(1, "missing net header")
+    if fields[0] != "net" or len(fields) != 2:
+        raise ParseError(lineno, "expected the net header: net IDENT")
+    name = _ident(fields[1], lineno)
+
     places: List[Tuple[str, int]] = []
     transitions: List[str] = []
-    arcs: List[Arc] = []
-    arc_set: Set[Arc] = set()
-    declared: Dict[str, str] = {}
-
-    def ident(token, lineno):
-        if not _IDENT.match(token):
-            raise ParseError(lineno, f"bad identifier {token!r}")
-        return token
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    arcs: Dict[Arc, None] = {}  # an ordered set
+    declared: Dict[str, bool] = {}  # identifier -> is a place
+    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if name is None:
-            if kind != "net" or len(fields) != 2:
-                raise ParseError(lineno, "expected the net header: net IDENT")
-            name = ident(fields[1], lineno)
-            continue
-        if kind == "net":
-            raise ParseError(lineno, "duplicate net header")
-        if kind == "place":
+        if kind == "arc":
+            if len(fields) != 4 or fields[2] != "->":
+                raise ParseError(lineno, "expected: arc IDENT -> IDENT")
+            src, dst = fields[1], fields[3]
+            src_place, dst_place = declared.get(src), declared.get(dst)
+            if src_place is None or dst_place is None:
+                # only an unknown endpoint can be a bad identifier, reported first
+                _ident(src, lineno)
+                _ident(dst, lineno)
+                unknown = src if src_place is None else dst
+                raise ParseError(lineno, f"unknown arc endpoint {unknown!r}")
+            if src_place is dst_place:
+                raise ParseError(lineno, f"arc {src} -> {dst} must connect a place and a transition")
+            arc = (src, dst)
+            if arc in arcs:
+                raise ParseError(lineno, f"duplicate arc {src} -> {dst}")
+            arcs[arc] = None
+        elif kind == "place":
             if len(fields) == 2:
                 init = 0
             elif (len(fields) == 4 and fields[2] == "init"
@@ -84,41 +107,18 @@ def parse_net(text: str) -> NetDocument:
                 init = int(digits)
             else:
                 raise ParseError(lineno, "expected: place IDENT [init NAT]")
-            p = ident(fields[1], lineno)
-            if p in declared:
-                raise ParseError(lineno, f"duplicate identifier {p!r}")
-            declared[p] = "place"
+            p = _ident(fields[1], lineno, declared)
+            declared[p] = True
             places.append((p, init))
         elif kind == "trans":
             if len(fields) != 2:
                 raise ParseError(lineno, "expected: trans IDENT")
-            t = ident(fields[1], lineno)
-            if t in declared:
-                raise ParseError(lineno, f"duplicate identifier {t!r}")
-            declared[t] = "trans"
+            t = _ident(fields[1], lineno, declared)
+            declared[t] = False
             transitions.append(t)
-        elif kind == "arc":
-            if len(fields) != 4 or fields[2] != "->":
-                raise ParseError(lineno, "expected: arc IDENT -> IDENT")
-            src, dst = fields[1], fields[3]
-            if src not in declared or dst not in declared:
-                # declared names are valid identifiers: only an unknown
-                # endpoint can be a bad one, and that error comes first
-                ident(src, lineno)
-                ident(dst, lineno)
-                unknown = src if src not in declared else dst
-                raise ParseError(lineno, f"unknown arc endpoint {unknown!r}")
-            if declared[src] == declared[dst]:
-                raise ParseError(
-                    lineno, f"arc {src} -> {dst} must connect a place and a transition")
-            if (src, dst) in arc_set:
-                raise ParseError(lineno, f"duplicate arc {src} -> {dst}")
-            arc_set.add((src, dst))
-            arcs.append((src, dst))
         else:
-            raise ParseError(lineno, f"unknown statement {kind!r}")
-    if name is None:
-        raise ParseError(1, "missing net header")
+            raise ParseError(lineno, "duplicate net header" if kind == "net"
+                             else f"unknown statement {kind!r}")
 
     doc = NetDocument(name, tuple(places), tuple(transitions), tuple(arcs))
     try:

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from lucentnet import cli
 from lucentnet.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -116,3 +117,31 @@ def test_file_input_builds_the_net_once(monkeypatch, capsys):
     assert main(["lucency", corpus_file("n1")]) == 0
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv,handler", [
+    (["analyze", corpus_file("n1")], "_cmd_analyze"),
+    (["lucency", corpus_file("n1")], "_cmd_lucency"),
+    (["home-clusters", corpus_file("n1")], "_cmd_home_clusters"),
+    (["reach", corpus_file("n1")], "_cmd_reach"),
+    (["paper-suite"], "_cmd_suite"),
+])
+def test_ctrl_c_exits_130_without_a_traceback(monkeypatch, capsys, argv, handler):
+    def interrupted(args, limits):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, handler, interrupted)
+    assert main(argv) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+def test_parse_and_decode_errors_count_lines_alike(tmp_path, capsys):
+    # a form feed or U+2028 inside a comment ends neither the comment nor the line
+    for separator in ("\x0c", "\x85", "\u2028", " "):
+        bad = tmp_path / "bad.net"
+        bad.write_bytes(f"net x # a{separator}b\nplace p\nwidget\n".encode())
+        assert main(["lucency", str(bad)]) == 2
+        assert "line 3: unknown statement 'widget'" in capsys.readouterr().err
+        bad.write_bytes(f"net x # a{separator}b\nplace p\n".encode() + b"# \xff\n")
+        assert main(["lucency", str(bad)]) == 2
+        assert "line 3: not UTF-8 text" in capsys.readouterr().err

@@ -164,3 +164,23 @@ def test_init_count_is_capped():
     padded = parse_net("net x\nplace a init " + "0" * 5000 + "7\ntrans t\narc a -> t\n")
     assert padded.places == (("a", 7),)
 
+
+# every character besides "\n" that str.splitlines() splits on
+NOT_NEWLINES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_NEWLINES)
+def test_lines_end_at_newline_only(sep):
+    # inside a comment the character is part of the comment
+    doc = parse_net(f"net n # a{sep}b\nplace p init 1\ntrans t\narc p -> t\narc t -> p\n")
+    assert doc.name == "n" and doc.arcs == (("p", "t"), ("t", "p"))
+    # between tokens it is whitespace, and line numbers count "\n" alone
+    err = _parse_error(f"net x\nplace a{sep}init 1{sep}\nplace a\n")
+    assert err.line == 3 and "duplicate identifier 'a'" in str(err)
+    err = _parse_error(f"net x{sep}place p\n")
+    assert err.line == 1 and "net header" in str(err)
+
+
+def test_crlf_line_endings():
+    doc = parse_net("net x\r\nplace a init 1\r\ntrans t # c\r\narc a -> t\r\n")
+    assert doc.places == (("a", 1),) and doc.arcs == (("a", "t"),)
