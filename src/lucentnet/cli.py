@@ -6,13 +6,16 @@ the exploration was truncated, or ``home-clusters`` found no home cluster
 and could not decide some cluster (the direct method on an unbounded net,
 the short-circuit method where it does not apply or its short-circuited
 net's exploration was truncated); 130 = interrupted by Ctrl-C
-(``error: interrupted`` on stderr, no traceback).
+(``error: interrupted`` on stderr, no traceback); 141 = standard output was
+closed early, as by ``| head`` (no message).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import corpus, homecluster, lucency, report
@@ -25,6 +28,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERRUPTED = 130
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, what a shell reports for a process SIGPIPE ended
 
 
 def _common(parser):
@@ -34,8 +38,11 @@ def _common(parser):
 
 
 def _load(path: str):
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:  # an input error; an OSError of the output is not
+        raise LucentNetError(str(exc)) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -87,21 +94,19 @@ def main(argv=None) -> int:
     except ValueError:
         parser.error("--max-states must be a positive integer")  # exits with 2
 
+    commands = {"analyze": _cmd_analyze, "lucency": _cmd_lucency, "reach": _cmd_reach,
+                "home-clusters": _cmd_home_clusters, "paper-suite": _cmd_suite}
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args, limits)
-        if args.command == "lucency":
-            return _cmd_lucency(args, limits)
-        if args.command == "home-clusters":
-            return _cmd_home_clusters(args, limits)
-        if args.command == "reach":
-            return _cmd_reach(args, limits)
-        if args.command == "paper-suite":
-            return _cmd_suite(args, limits)
-        raise AssertionError(args.command)
-    except (OSError, ParseError) as exc:
+        code = commands[args.command](args, limits)
+        sys.stdout.flush()  # a closed output fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left; once stdout is on the null device,
+        with contextlib.suppress(OSError):  # a file's flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
+    except OSError as exc:  # the output could not be written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_VIOLATION
     except LucentNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION if isinstance(exc, TheoremViolation) else EXIT_INPUT
@@ -181,7 +186,7 @@ def _cmd_reach(args, limits) -> int:
         payload = {
             "net": name,
             "verdict": rg.verdict,
-            "states": [list(m.as_strings()) for m in rg.states],
+            "states": [rg.strings(i) for i in range(len(rg.states))],
             "edges": [[i, t, j] for i, t, j in rg.edges],
             "terminal_sccs": [list(c) for c in rg.terminal_sccs()],
         }
@@ -202,10 +207,12 @@ def _cmd_reach(args, limits) -> int:
 def _cmd_suite(args, limits) -> int:
     nets = corpus.suite_nets(random_count=args.random, seed=args.seed)
     expectation_rows = []
+    graphs = {}  # the reference nets' graphs, which the suite reads again
     for ref in corpus.all_reference_nets():
-        for prop, expected, got, ok in corpus.verify_reference_net(ref, limits):
+        rg = graphs[ref.net, ref.initial] = explore(ref.net, ref.initial, limits)
+        for prop, expected, got, ok in corpus.verify_reference_net(ref, limits, rg):
             expectation_rows.append((ref.ident, prop, expected, got, ok))
-    suite = corpus.run_theorem_suite(nets, limits)
+    suite = corpus.run_theorem_suite(nets, limits, graphs)
     bad_expectations = [r for r in expectation_rows if not r[4]]
 
     if args.format == "json":

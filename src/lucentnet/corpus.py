@@ -20,7 +20,7 @@ from .errors import (CleanedNetInvalid, ClusterNotConnected,
 from .net import (Marking, PetriNet, connectivity, enabled_list,
                   enabled_transitions, fire, is_free_choice, is_proper, mrk,
                   net_class, sequence_enabled)
-from .reachability import (ExplorationLimits, explore, bound_k,
+from .reachability import (ExplorationLimits, ReachabilityGraph, explore, bound_k,
                            dead_places, dead_transitions, is_deadlock_free,
                            is_live, is_perpetual, is_safe, home_markings,
                            strong_components)
@@ -261,11 +261,12 @@ def all_reference_nets() -> Tuple[ReferenceNet, ...]:
 
 
 def verify_reference_net(ref: ReferenceNet,
-                         limits: Optional[ExplorationLimits] = None):
-    """Evaluate every expected property; returns rows of
-    (property, expected, actual, ok)."""
+                         limits: Optional[ExplorationLimits] = None,
+                         rg: Optional[ReachabilityGraph] = None):
+    """Evaluate every expected property, on ``rg`` when the net's graph is
+    given; returns rows of (property, expected, actual, ok)."""
     net, m0 = ref.net, ref.initial
-    rg = explore(net, m0, limits)
+    rg = rg or explore(net, m0, limits)
     luc = lucency.check_lucency(net, m0, limits, rg=rg)
     hc = homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
 
@@ -507,7 +508,7 @@ def _sample_walk(net, m0, rng, max_len=8, rg=None):
                 return tuple(out)
             t, i = rng.choice(edges)
             out.append(t)
-        m0 = rg.states[i]
+        m0 = rg.marking(i) if len(out) < max_len else m0  # decoded only to walk on past rg
     m = m0
     while len(out) < max_len:
         en = enabled_list(net, m)
@@ -520,8 +521,10 @@ def _sample_walk(net, m0, rng, max_len=8, rg=None):
 
 
 def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
-                      limits: Optional[ExplorationLimits] = None) -> SuiteReport:
-    """Evaluate every documented implication on every net.
+                      limits: Optional[ExplorationLimits] = None,
+                      graphs: Optional[Dict[tuple, ReachabilityGraph]] = None) -> SuiteReport:
+    """Evaluate every documented implication on every net, reading the
+    exploration of ``(net, m0)`` from ``graphs`` where it was made already.
 
     A check whose hypotheses do not hold (or whose exploration was
     truncated) counts as a skip, so vacuous runs stay visible; any failed
@@ -529,12 +532,12 @@ def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
     """
     report = SuiteReport(nets=len(nets))
     for name, net, m0 in nets:
-        _run_net_checks(report, name, net, m0, limits)
+        _run_net_checks(report, name, net, m0, limits, (graphs or {}).get((net, m0)))
     return report
 
 
-def _run_net_checks(report, name, net, m0, limits):
-    rg = explore(net, m0, limits)
+def _run_net_checks(report, name, net, m0, limits, rg=None):
+    rg = rg or explore(net, m0, limits)
     fc = is_free_choice(net)
     proper = is_proper(net)
     luc = lucency.check_lucency(net, m0, limits, rg=rg)

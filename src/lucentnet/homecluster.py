@@ -26,7 +26,7 @@ from typing import FrozenSet, Iterator, Optional, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
-from .lucency import check_lucency, check_no_dominating
+from .lucency import check_lucency
 from .net import (Cluster, Marking, PetriNet, connectivity, is_free_choice,
                   is_proper, mrk)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
@@ -244,7 +244,7 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     if want_direct or cleaned is not None:
         rg = rg or explore(net, m0, limits)
     if cleaned is not None:
-        read = _ring_reader(net, rg, cleaned, limits)
+        read = _ring_reader(rg, cleaned, limits)
 
     for cluster in net.clusters():
         marking = mrk(cluster)
@@ -265,7 +265,7 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
                     if rings or read is None:
                         ring = _attach_ring(cleaned, cluster, m0, removed)
                         ring_v, graph = _ring_verdict(ring, m0, limits)
-                    sc_v = read(cluster, marking) if read else ring_v.value
+                    sc_v = read(marking) if read else ring_v.value
                     if sc_v is None:
                         notes.append("short-circuit: exploration incomplete")
                 except CleanedNetInvalid:
@@ -275,8 +275,8 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
                ring, ring_v, graph)
 
 
-def _ring_reader(net, rg, cleaned, limits):
-    """The short-circuit verdict of a cluster and its marking Mrk(C), read
+def _ring_reader(rg, cleaned, limits):
+    """The short-circuit verdict of a cluster, given its marking Mrk(C), read
     off the complete base graph ``rg`` without exploring its ring; ``None``
     when ``rg`` is not complete within the cap.
 
@@ -289,17 +289,16 @@ def _ring_reader(net, rg, cleaned, limits):
     exactly when Mrk(C) is a home marking and every cleaned transition
     labels an edge of ``rg``.  The verdict is therefore the conjunction of
     :func:`dead_transitions` (empty), :meth:`ReachabilityGraph.is_home` and
-    :func:`check_no_dominating`.
+    no state :meth:`ReachabilityGraph.above` Mrk(C) (:func:`check_no_dominating`).
     """
     if not (rg.complete and len(rg.states) <= (limits or ExplorationLimits()).max_states):
         return None
     all_fire = not dead_transitions(cleaned, rg)
     # a marking strictly above Mrk(C) holds more tokens than Mrk(C)
-    fullest = max(map(len, rg.states))
-    return lambda cluster, marking: (
+    fullest = max(rg.sizes)
+    return lambda marking: (
         all_fire and rg.is_home(marking)
-        and (len(marking) >= fullest
-             or check_no_dominating(net, rg.states[0], cluster, limits, rg=rg).value))
+        and (len(marking) >= fullest or rg.above(marking) is None))
 
 
 def _disagreement(d: ClusterDetail) -> str:

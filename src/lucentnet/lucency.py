@@ -47,12 +47,12 @@ def check_lucency(net: PetriNet, m0: Marking,
     if not rg.complete:
         return LucencyVerdict("undecided")
     seen: Dict[FrozenSet[str], int] = {}
-    for i, m in enumerate(rg.states):
+    for i in range(len(rg.states)):
         fp = rg.enabled(i)
         first = seen.get(fp)
         if first is not None:
             return LucencyVerdict("not-lucent",
-                                  witness=(rg.states[first], m),
+                                  witness=(rg.marking(first), rg.marking(i)),
                                   footprint=tuple(sorted(fp)))
         seen[fp] = i
     return LucencyVerdict("lucent")
@@ -61,14 +61,8 @@ def check_lucency(net: PetriNet, m0: Marking,
 def is_transparent_marking(net: PetriNet, m: Marking) -> bool:
     """All tokens sit in input places of currently enabled transitions,
     one per place; no token is "hidden"."""
-    return _transparent(net, m, enabled_transitions(net, m))
-
-
-def _transparent(net: PetriNet, m: Marking, enabled: FrozenSet[str]) -> bool:
-    required = set()
-    for t in enabled:
-        required |= net.preset(t)
-    return m == Marking.of(*required)
+    # enabled transitions' input places are marked: m is transparent iff one token on each
+    return len(m) == len(net.preset_of_set(enabled_transitions(net, m)))
 
 
 def is_fully_transparent(net: PetriNet, m0: Marking,
@@ -76,9 +70,9 @@ def is_fully_transparent(net: PetriNet, m0: Marking,
                          rg: Optional[ReachabilityGraph] = None) -> Verdict:
     """Every reachable marking is transparent; witness = first that is not."""
     rg = rg or explore(net, m0, limits)
-    for i, m in enumerate(rg.states):
-        if not _transparent(net, m, rg.enabled(i)):
-            return Verdict(False, witness=m)
+    for i, size in enumerate(rg.sizes):
+        if size != len(net.preset_of_set(rg.enabled(i))):  # see is_transparent_marking
+            return Verdict(False, witness=rg.marking(i))
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
     return Verdict(True)
@@ -266,7 +260,7 @@ def _shortest_firing_path(rg: ReachabilityGraph, source: Marking,
     the state graph, lexicographic tie-break via edge order)."""
     if not (rg.contains(source) and rg.contains(target)):
         return None
-    src, dst = rg.index[source], rg.index[target]
+    src, dst = rg.index_of(source), rg.index_of(target)
     if src == dst:
         return ()
     prev: Dict[int, Tuple[int, str]] = {src: (-1, "")}
@@ -299,11 +293,8 @@ def check_no_dominating(net: PetriNet, m0: Marking, cluster,
     rg = rg or explore(net, m0, limits)
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
-    target = mrk(cluster)
-    for m in rg.states:
-        if target.lt(m):
-            return Verdict(False, witness=m)
-    return Verdict(True)
+    above = rg.above(mrk(cluster))
+    return Verdict(True) if above is None else Verdict(False, witness=rg.marking(above))
 
 
 def check_pairwise_incomparable(net: PetriNet, m0: Marking,
@@ -325,14 +316,14 @@ def check_pairwise_incomparable(net: PetriNet, m0: Marking,
         return Verdict(False, reason="unbounded", witness=(bigger, smaller))
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
-    by_size: Dict[int, List[Marking]] = {}
-    for m in rg.states:
-        by_size.setdefault(len(m), []).append(m)
+    by_size: Dict[int, List[int]] = {}
+    for i, size in enumerate(rg.sizes):
+        by_size.setdefault(size, []).append(i)
     sizes = sorted(by_size)
     for a_idx, sa in enumerate(sizes):
         for sb in sizes[a_idx + 1:]:
             for small in by_size[sa]:
                 for big in by_size[sb]:
-                    if small.lt(big):
-                        return Verdict(False, witness=(big, small))
+                    if rg.covers(big, small):
+                        return Verdict(False, witness=(rg.marking(big), rg.marking(small)))
     return Verdict(True)

@@ -168,8 +168,7 @@ def find_rooted_path(net: PetriNet, m0: Marking, place: str, cluster,
     must exist.
     """
     rg = rg or explore(net, m0, limits)
-    marked_somewhere = any(place in m for m in rg.states)
-    if not marked_somewhere:
+    if not any(place in m for m in rg.states):
         if not rg.complete:
             raise UndecidedError("deadness of the start place is unknown (exploration incomplete)")
         return RootedPathResult(None, reason="dead-place")
@@ -408,7 +407,10 @@ def verify_expedite_safe(net: PetriNet, m: Marking, seq: Sequence[str],
     each is enabled and reaches the same final marking.
 
     Each variant is fired from where it leaves its parent, on the parent's
-    trace, and compared with the marking the base sequence reached."""
+    trace, and compared with the marking the base sequence reached.  This
+    cannot fail on any net: a legal mover's preset is disjoint from those it
+    overtakes, so the variant stays enabled and ends on the same marking.
+    A pass is no evidence for the free-choice hypothesis."""
     seq = tuple(seq)
     trace = _trace(net, m, seq)
     if len(trace) <= len(seq):

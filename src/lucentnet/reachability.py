@@ -27,13 +27,16 @@ the low bits of t's preset and postset (``preg[t] = pre1[t] << w``):
 Each state also keeps the smallest token count on its root path.  Only an
 ancestor with fewer tokens can be strictly dominated, so the ancestor walk
 stops as soon as none is left above (Karp & Miller 1969); a net that
-conserves tokens never walks.  Markings become :class:`Marking` values
-once per state, when the search ends.
+conserves tokens never walks.  The graph keeps the packed states, and a
+state becomes a :class:`Marking` only where one is asked for.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
+from functools import cached_property, partial, reduce
+from operator import or_
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
@@ -80,6 +83,10 @@ class ReachabilityGraph:
     derived from them: enabled sets, SCCs and home markings, each computed
     at most once.
 
+    The graph keeps the search's packed states, index dict, token counts
+    (``sizes``) and out-edges; :meth:`marking` decodes one state, and
+    ``states`` and ``edges`` are views whose items are built on first access.
+
     ``states[0]`` is the initial marking; every edge ``(i, t, j)`` satisfies
     ``fire(states[i], t) == states[j]``.  When the verdict is ``complete``
     the graph is the full reachability graph.  The first ``expanded``
@@ -87,42 +94,70 @@ class ReachabilityGraph:
     exactly their enabled transitions.
     """
 
-    def __init__(self, net, states, edges, verdict, unbounded_witness=None, *,
-                 index, expanded):
+    def __init__(self, net, layout, packed, index, sizes, out, verdict,
+                 unbounded_witness, expanded):
         self.net: PetriNet = net
-        self.states: Tuple[Marking, ...] = tuple(states)
-        self.edges: Tuple[Tuple[int, str, int], ...] = tuple(edges)
         self.verdict: str = verdict
         self.unbounded_witness: Optional[UnboundednessWitness] = unbounded_witness
-        self.index: Dict[Marking, int] = index
-        out: List[list] = [[] for _ in self.states]
-        for i, t, j in self.edges:
-            out[i].append((t, j))
-        self._out = [tuple(v) for v in out]
+        self.sizes: List[int] = sizes
+        self.states: Sequence[Marking] = _View(len(packed), partial(map, layout.marking, packed))
+        self.edges: Sequence[Tuple[int, str, int]] = _View(
+            sum(map(len, out)), lambda: ((i, t, j) for i, e in enumerate(out) for t, j in e))
+        self._layout = layout
+        self._packed = packed
+        self._index: Dict[int, int] = index
+        out += [()] * (len(packed) - len(out))  # the states never expanded
+        self._out = out
         self._expanded = expanded
-        self._enabled: List[Optional[FrozenSet[str]]] = [None] * len(self.states)
+        self._enabled: List[Optional[FrozenSet[str]]] = [None] * len(packed)
         self._terminal_sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._home: Optional[FrozenSet[int]] = None
         self._live: Optional[Verdict] = None
 
     @property
-    def initial(self) -> Marking:
-        return self.states[0]
-
-    @property
     def complete(self) -> bool:
         return self.verdict == COMPLETE
 
-    def out_edges(self, i: int) -> Tuple[Tuple[str, int], ...]:
+    def marking(self, i: int) -> Marking:
+        """State ``i`` as a :class:`Marking`."""
+        return self._layout.marking(self._packed[i])
+
+    def strings(self, i: int) -> List[str]:
+        """State ``i``'s ``place:count`` strings (``Marking.as_strings``)."""
+        lay = self._layout
+        if lay.extra or lay.width > 1:
+            return list(self.marking(i).as_strings())
+        return [lay.labels[j] for j in lay.marked(self._packed[i])]
+
+    def index_of(self, m: Marking) -> Optional[int]:
+        """The index of ``m``, or None when it was not explored."""
+        s, foreign = self._layout.pack(m)
+        return self._index.get(s) if foreign == self._layout.extra else None
+
+    def contains(self, m: Marking) -> bool:
+        return self.index_of(m) is not None
+
+    def covers(self, i: int, j: int) -> bool:
+        """Every count of state ``i`` is at least state ``j``'s."""
+        g = self._layout.guard
+        return ((self._packed[i] | g) - self._packed[j]) & g == g
+
+    def above(self, m: Marking) -> Optional[int]:
+        """The first state strictly above ``m`` (no count below m's, more tokens), or None."""
+        s, foreign = self._layout.pack(m)
+        if s is None or not Marking(foreign).leq(Marking(self._layout.extra)):
+            return None
+        g, size = self._layout.guard, len(m)
+        return next((i for i, n in enumerate(self.sizes)
+                     if n > size and ((self._packed[i] | g) - s) & g == g), None)
+
+    def out_edges(self, i: int) -> Sequence[Tuple[str, int]]:
         return self._out[i]
 
     def is_expanded(self, i: int) -> bool:
         """State ``i`` had all its successors generated."""
         return i < self._expanded
-
-    def contains(self, m: Marking) -> bool:
-        return m in self.index
 
     def enabled(self, i: int) -> FrozenSet[str]:
         """Enabled set of a state: the labels of its out-edges when it was
@@ -132,18 +167,22 @@ class ReachabilityGraph:
             if i < self._expanded:
                 en = frozenset(t for t, _ in self._out[i])
             else:
-                en = enabled_transitions(self.net, self.states[i])
+                en = enabled_transitions(self.net, self.marking(i))
             self._enabled[i] = en
         return en
 
-    def is_home(self, m: Marking) -> bool:
-        """``m`` is a home marking: a state of the unique terminal SCC."""
+    def homes(self) -> Tuple[int, ...]:
+        """The states of the terminal SCC if it is unique: home markings lie in every one."""
         if not self.complete:
             raise UndecidedError(f"home markings need a complete exploration ({self.verdict})")
+        terminal = self.terminal_sccs()
+        return terminal[0] if len(terminal) == 1 else ()
+
+    def is_home(self, m: Marking) -> bool:
+        """``m`` is a home marking: a state of the unique terminal SCC."""
         if self._home is None:
-            terminal = self.terminal_sccs()
-            self._home = frozenset(terminal[0]) if len(terminal) == 1 else frozenset()
-        return self.index.get(m) in self._home
+            self._home = frozenset(self.homes())
+        return self.index_of(m) in self._home
 
     def live(self) -> Verdict:
         """Every transition of the net stays fireable from every reachable
@@ -168,7 +207,7 @@ class ReachabilityGraph:
             missing = sorted(set(self.net.transitions) - labels)
             if missing:
                 return Verdict(False, reason="transition cannot fire again",
-                               witness=(missing[0], self.states[scc[0]]))
+                               witness=(missing[0], self.marking(scc[0])))
         return Verdict(True)
 
     # -- strongly connected components ------------------------------------
@@ -195,6 +234,29 @@ class ReachabilityGraph:
         self._sccs = tuple(sccs)
         self._terminal_sccs = tuple(c for c in sccs
                                     if comp[c[0]] not in has_exit)
+
+
+class _View(abc.Sequence):
+    """A sequence whose length is known at once and whose items are built on first access."""
+
+    def __init__(self, length: int, build):
+        self._length, self._build = length, build
+
+    @cached_property
+    def _items(self) -> tuple:
+        return tuple(self._build())
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other):
+        return self._items == tuple(other) if isinstance(other, (tuple, _View)) else NotImplemented
 
 
 def strong_components(succ: Sequence[Sequence[int]]) -> List[int]:
@@ -250,52 +312,49 @@ def strong_components(succ: Sequence[Sequence[int]]) -> List[int]:
 
 
 class _Layout:
-    """The packed-marking layout of a compiled net at field width ``w``
-    (see the module docstring): ``ones`` is ``ONES``, ``guard`` is ``G``,
-    ``pre_guard[t]`` is ``preg[t]`` and ``delta[t]`` is
-    ``post1[t] - pre1[t]``, so firing t is one addition."""
+    """Packs and decodes a net's markings at field width ``w`` (see the module
+    docstring; ``ones`` is ``ONES``, ``guard`` is ``G``).  ``extra`` holds the
+    initial marking's items on places outside the net, carried by every state."""
 
-    __slots__ = ("width", "field", "ones", "guard", "pre_guard", "delta")
+    __slots__ = ("width", "field", "ones", "guard", "places", "index", "extra", "labels")
 
-    def __init__(self, form, w: int):
-        index = form.place_index
+    def __init__(self, places, index, extra, w: int):
         f = w + 1
         self.width = w
         self.field = f
         self.ones = ((1 << (len(index) * f)) - 1) // ((1 << f) - 1)
         self.guard = self.ones << w
-        self.pre_guard = pre_guard = []
-        self.delta = delta = []
-        for t in form.transitions:
-            x = y = 0
-            for p in form.pre[t]:
-                x |= 1 << (index[p] * f)
-            for p in form.post[t]:
-                y |= 1 << (index[p] * f)
-            pre_guard.append(x << w)
-            delta.append(y - x)
+        self.places, self.index, self.extra = places, index, extra
+        self.labels = [f"{p}:1" for p in places]  # the strings of a safe state
 
-    def pack(self, m: Marking, index) -> int:
-        s = 0
+    def pack(self, m: Marking):
+        """m's counts on the net's places packed (None if one is too wide), and m's other items."""
+        s, foreign = 0, []
         for p, n in m.items:
-            if p in index:
-                s |= n << (index[p] * self.field)
-        return s
+            i = self.index.get(p)
+            if i is None:
+                foreign.append((p, n))
+            elif s is not None:
+                s = None if n >> self.width else s | n << (i * self.field)
+        return s, tuple(foreign)
 
-    def unpack(self, s: int, places, extra) -> Marking:
-        """The marking of ``s``, plus the ``extra`` items of places outside
-        the net (carried unchanged from the initial marking)."""
+    def marked(self, s: int) -> list:
+        """The indices of the places packed state ``s`` marks, in order (a
+        field of one value bit is its own mark)."""
+        f = self.field
+        bits = s if self.width == 1 else ((s | self.guard) - self.ones) & self.guard
+        out = []
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            out.append((bit.bit_length() - 1) // f)
+        return out
+
+    def marking(self, s: int) -> Marking:
         f, w = self.field, self.width
-        marked = ((s | self.guard) - self.ones) & self.guard
-        items = []
-        while marked:
-            bit = marked & -marked
-            marked ^= bit
-            i = bit.bit_length() // f - 1
-            items.append((places[i], 1 if w == 1 else (s >> (i * f)) & ((1 << w) - 1)))
-        if extra:
-            items = sorted(items + list(extra))
-        return Marking(tuple(items))
+        items = [(self.places[i], 1 if w == 1 else (s >> (i * f)) & ((1 << w) - 1))
+                 for i in self.marked(s)]
+        return Marking(tuple(sorted(items + list(self.extra)) if self.extra else items))
 
 
 def explore(net: PetriNet, m0: Marking,
@@ -318,25 +377,29 @@ def explore(net: PetriNet, m0: Marking,
     extra = tuple((p, n) for p, n in m0.items if p not in index)
     w = max(1, max((n for p, n in m0.items if p in index), default=0).bit_length())
     while True:
-        layout = _Layout(form, w)
-        run = _search(form, layout, layout.pack(m0, index), len(m0), limits.max_states)
+        layout = _Layout(net.places, index, extra, w)
+        run = _search(form, layout, layout.pack(m0)[0], len(m0), limits.max_states)
         if run is not None:
             break
         w *= 2
-    packed, edges, verdict, witness, expanded = run
-    states = [layout.unpack(s, net.places, extra) for s in packed]
-    del packed, layout  # freed before the graph builds its adjacency
-    # the state at ``expanded`` is only partly expanded when the search stopped
-    return ReachabilityGraph(net, states, edges, verdict, unbounded_witness=witness,
-                             index={m: i for i, m in enumerate(states)}, expanded=expanded)
+    return ReachabilityGraph(net, layout, *run)
 
 
 def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
     """The breadth-first search of :func:`explore` at one field width:
-    ``(states, edges, verdict, witness, expanded)`` with packed states, or
-    ``None`` as soon as a count outgrows its field."""
-    guard, ones, f = layout.guard, layout.ones, layout.field
-    pre_guard, delta = layout.pre_guard, layout.delta
+    ``(states, index, sizes, out, verdict, witness, expanded)`` with packed
+    states and the out-edges ``(t, j)`` of every state it began to expand,
+    or ``None`` as soon as a count outgrows its field."""
+    guard, ones, f, at = layout.guard, layout.ones, layout.field, layout.index
+    pre_guard, delta = [], []  # preg[t], and post1[t] - pre1[t]: firing t is one addition
+    for t in form.transitions:
+        x = y = 0
+        for p in form.pre[t]:
+            x |= 1 << (at[p] * f)
+        for p in form.post[t]:
+            y |= 1 << (at[p] * f)
+        pre_guard.append(x << layout.width)
+        delta.append(y - x)
     outs, always, dsize, names = form.outs, form.always, form.dsize, form.transitions
     states = [s0]
     index = {s0: 0}
@@ -344,12 +407,14 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
     least = [size0]   # smallest token count on each state's root path
     parent = [-1]
     via = [-1]        # the transition that first reached each state
-    edges: List[Tuple[int, str, int]] = []
+    out: List[list] = []
 
     pos = 0
     while pos < len(states):
         s = states[pos]
         size = sizes[pos]
+        edges = []
+        out.append(edges)
         marked = ((s | guard) - ones) & guard
         candidates = always
         rest = marked
@@ -379,10 +444,10 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
                         stem = _path(k, parent, via, names)
                         full = _path(pos, parent, via, names) + (names[t],)
                         witness = UnboundednessWitness(stem=stem, pump=full[len(stem):])
-                        return states, edges, UNBOUNDED, witness, pos
+                        return states, index, sizes, out, UNBOUNDED, witness, pos
                     k = parent[k]
                 if len(states) >= max_states:
-                    return states, edges, TRUNCATED, None, pos
+                    return states, index, sizes, out, TRUNCATED, None, pos
                 j = len(states)
                 states.append(s2)
                 index[s2] = j
@@ -390,9 +455,9 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
                 least.append(min(least[pos], size2))
                 parent.append(pos)
                 via.append(t)
-            edges.append((pos, names[t], j))
+            edges.append((names[t], j))
         pos += 1
-    return states, edges, COMPLETE, None, pos
+    return states, index, sizes, out, COMPLETE, None, pos
 
 
 def _path(k: int, parent, via, names) -> Tuple[str, ...]:
@@ -432,8 +497,13 @@ def bound_k(net: PetriNet, m0: Marking,
         return BoundednessResult("unbounded", witness=rg.unbounded_witness)
     if rg.verdict == TRUNCATED:
         return BoundednessResult("unknown")
-    k = max((n for m in rg.states for _, n in m.items), default=0)
-    return BoundednessResult("bounded", k=k)
+    # raise k while some field of a state is above k: one subtraction a state
+    lay = rg._layout
+    k, step = 0, lay.ones
+    for s in rg._packed:
+        while ((s | lay.guard) - step) & lay.guard:
+            k, step = k + 1, step + lay.ones
+    return BoundednessResult("bounded", k=max([k] + [n for _, n in lay.extra]))
 
 
 def is_safe(net, m0, limits=None, rg=None) -> Verdict:
@@ -448,23 +518,21 @@ def is_live(net, m0, limits=None, rg=None) -> Verdict:
 
 
 def dead_places(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
-    """Places never marked in any explored state."""
-    marked = set()
-    for m in rg.states:
-        marked.update(m.support())
+    """Places never marked in any explored state: the zero fields of the OR of all states."""
+    marked = {rg.net.places[i] for i in rg._layout.marked(reduce(or_, rg._packed))}
     return tuple(sorted(set(net.places) - marked))
 
 
 def dead_transitions(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
     """Transitions labeling no explored edge."""
-    fired = {t for _, t, _ in rg.edges}
+    fired = {t for out in rg._out for t, _ in out}
     return tuple(sorted(set(net.transitions) - fired))
 
 
 def is_deadlock_free(net: PetriNet, rg: ReachabilityGraph) -> Verdict:
     """No reachable marking with an empty enabled set; the witness carries
     the dead markings found (in state order)."""
-    dead = tuple(rg.states[i] for i in range(len(rg.states)) if not rg.enabled(i))
+    dead = tuple(map(rg.marking, (i for i in range(len(rg.states)) if not rg.enabled(i))))
     if dead:
         return Verdict(False, witness=dead)
     if not rg.complete:
@@ -473,17 +541,8 @@ def is_deadlock_free(net: PetriNet, rg: ReachabilityGraph) -> Verdict:
 
 
 def home_markings(net: PetriNet, rg: ReachabilityGraph) -> Tuple[Marking, ...]:
-    """Markings reachable from every reachable marking.
-
-    A home marking lies in every terminal SCC, so home markings exist only
-    when the terminal SCC is unique, and then they are exactly its states.
-    """
-    if not rg.complete:
-        raise UndecidedError(f"home markings need a complete exploration ({rg.verdict})")
-    terminal = rg.terminal_sccs()
-    if len(terminal) != 1:
-        return ()
-    return tuple(rg.states[i] for i in terminal[0])
+    """Markings reachable from every reachable marking (see :meth:`ReachabilityGraph.homes`)."""
+    return tuple(map(rg.marking, rg.homes()))
 
 
 def is_live_and_bounded(net, m0, limits=None, rg=None) -> Verdict:

@@ -15,8 +15,7 @@ from .net import (Marking, PetriNet, connectivity, is_free_choice, is_proper,
                   net_class)
 from .reachability import (ExplorationLimits, UnboundednessWitness, bound_k,
                            dead_places, dead_transitions, explore,
-                           home_markings, is_deadlock_free, is_live,
-                           is_perpetual)
+                           is_deadlock_free, is_live, is_perpetual)
 from . import homecluster, lucency
 
 SCHEMA_VERSION = 1
@@ -78,7 +77,7 @@ def build_report(name: str, net: PetriNet, m0: Marking,
                           "dead_markings": [_marking(m) for m in (deadlock_free.witness or ())]},
         "dead_places": list(dead_places(net, rg)) if complete else None,
         "dead_transitions": list(dead_transitions(net, rg)) if complete else None,
-        "home_markings": [_marking(m) for m in home_markings(net, rg)] if complete else None,
+        "home_markings": [rg.strings(i) for i in rg.homes()] if complete else None,
         "perpetual": {"value": perpetual.value},
     }
 

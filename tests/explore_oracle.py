@@ -1,14 +1,15 @@
 """The explorer that the packed-integer ``reachability.explore`` replaced,
 kept as its test oracle: a breadth-first search on ``Marking`` values that
 tests every transition at every state and walks the whole root path of
-each new marking for a dominated ancestor."""
+each new marking for a dominated ancestor.  It returns a plain record of
+what it found, with a ``Marking``-keyed index."""
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from lucentnet.net import Marking, PetriNet, _fire_unchecked
 from lucentnet.reachability import (COMPLETE, TRUNCATED, UNBOUNDED,
-                                    ExplorationLimits, ReachabilityGraph,
-                                    UnboundednessWitness)
+                                    ExplorationLimits, UnboundednessWitness)
 
 
 def scan_enabled(net: PetriNet, m: Marking) -> list:
@@ -17,7 +18,7 @@ def scan_enabled(net: PetriNet, m: Marking) -> list:
 
 
 def explore(net: PetriNet, m0: Marking,
-            limits: Optional[ExplorationLimits] = None) -> ReachabilityGraph:
+            limits: Optional[ExplorationLimits] = None) -> SimpleNamespace:
     limits = limits or ExplorationLimits()
     states: List[Marking] = [m0]
     index: Dict[Marking, int] = {m0: 0}
@@ -71,5 +72,5 @@ def explore(net: PetriNet, m0: Marking,
             break
         pos += 1
 
-    return ReachabilityGraph(net, states, edges, verdict,
-                             unbounded_witness=witness, index=index, expanded=pos)
+    return SimpleNamespace(states=tuple(states), edges=tuple(edges), verdict=verdict,
+                           unbounded_witness=witness, index=index, expanded=pos)

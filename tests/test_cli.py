@@ -1,11 +1,16 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from lucentnet import cli
+from lucentnet import cli, document_of, serialize_net
 from lucentnet.cli import main
+from test_fast_short_circuit import forkjoin
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def corpus_file(ident):
@@ -66,6 +71,7 @@ def test_reach_dump(capsys):
 
 def test_input_errors(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.net")]) == 2
+    assert main(["analyze", str(tmp_path)]) == 2  # a directory cannot be read
     bad = tmp_path / "bad.net"
     bad.write_text("place p1\n")
     assert main(["lucency", str(bad)]) == 2
@@ -145,3 +151,32 @@ def test_parse_and_decode_errors_count_lines_alike(tmp_path, capsys):
         bad.write_bytes(f"net x # a{separator}b\nplace p\n".encode() + b"# \xff\n")
         assert main(["lucency", str(bad)]) == 2
         assert "line 3: not UTF-8 text" in capsys.readouterr().err
+
+
+def _cli_process(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.Popen([sys.executable, "-m", "lucentnet.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_output_exits_141_without_a_message(tmp_path):
+    # forkjoin(10)'s state space is about 1 MB of JSON, far more than a pipe
+    # holds, so the output is still being written when the reader leaves
+    path = tmp_path / "fj.net"
+    path.write_text(serialize_net(document_of("fj", *forkjoin(10))))
+    proc = _cli_process(["reach", str(path), "--format", "json"], subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_output_is_not_an_input_error():
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(["analyze", corpus_file("n1")], full)
+        assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -142,10 +142,10 @@ def test_dead_cleaned_transition():
     rg = explore(net, m0)
     cleaned = homecluster.clean(net, m0)
     assert "tj" in cleaned.transitions
-    read = homecluster._ring_reader(net, rg, cleaned, None)
+    read = homecluster._ring_reader(rg, cleaned, None)
     for cluster in net.clusters():
         verdict, _ = homecluster._ring_verdict(short_circuit(net, cluster, m0), m0, None)
-        assert read(cluster, mrk(cluster)) is verdict.value is False, cluster
+        assert read(mrk(cluster)) is verdict.value is False, cluster
     b = net.cluster_of("b")
     assert rg.is_home(mrk(b))
     assert find_home_clusters(net, m0, method="direct").home_clusters == (b,)
@@ -155,7 +155,7 @@ def test_truncated_or_oversized_base_graph_falls_back():
     net, m0 = forkjoin(3)
     small = ExplorationLimits(4)
     assert not explore(net, m0, small).complete
-    assert homecluster._ring_reader(net, explore(net, m0, small),
+    assert homecluster._ring_reader(explore(net, m0, small),
                                     homecluster.clean(net, m0), small) is None
     assert_matches_oracle(net, m0, small)
     # a complete graph larger than the cap would call p0's cluster home,
@@ -163,9 +163,9 @@ def test_truncated_or_oversized_base_graph_falls_back():
     full = explore(net, m0)
     assert full.complete and len(full.states) > 4
     p0 = net.cluster_of("p0")
-    assert homecluster._ring_reader(net, full, homecluster.clean(net, m0), None)(
-        p0, mrk(p0)) is True
-    assert homecluster._ring_reader(net, full, homecluster.clean(net, m0), small) is None
+    assert homecluster._ring_reader(full, homecluster.clean(net, m0), None)(
+        mrk(p0)) is True
+    assert homecluster._ring_reader(full, homecluster.clean(net, m0), small) is None
     report = find_home_clusters(net, m0, small, method="short-circuit", rg=full)
     assert [d.short_circuit for d in report.details] == [
         oracle(net, m0, c, small) for c in net.clusters()]

@@ -1,0 +1,160 @@
+"""The scans that read the graph's packed states against their ``Marking``
+versions (``scan_oracle``), the packed lookups at their edges, and how few
+states ``analyze`` decodes."""
+
+import random
+
+import pytest
+
+from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
+                       UndecidedError, all_reference_nets, bound_k,
+                       check_lucency, check_no_dominating,
+                       check_pairwise_incomparable, dead_places,
+                       dead_transitions, document_of, explore, home_markings,
+                       is_deadlock_free, is_fully_transparent, serialize_net,
+                       suite_nets)
+from lucentnet import reachability
+from lucentnet.cli import main
+import explore_oracle
+import scan_oracle
+from test_fast_short_circuit import forkjoin, ring
+from test_packed_explore import random_net
+
+
+def _nets():
+    yield from ((ref.net, ref.initial) for ref in all_reference_nets())
+    for seed in (0, 31337):
+        yield from ((net, m0) for _, net, m0 in suite_nets(random_count=300, seed=seed))
+    rng = random.Random(99)
+    made = 0
+    while made < 300:  # any class, counts up to 7
+        try:
+            net, m0 = random_net(rng)
+        except NetStructureError:
+            continue
+        made += 1
+        yield net, m0
+    for k in range(2, 7):
+        yield forkjoin(k)
+    net, m0 = ring(4)
+    yield net, m0 + Marking.of("zz", "zz", "aa")  # places outside the net
+
+
+def assert_scans_match(net, m0, limits=None):
+    rg = explore(net, m0, limits)
+    g = explore_oracle.explore(net, m0, limits)
+    assert [rg.strings(i) for i in range(len(rg.states))] == scan_oracle.strings(g)
+    assert max(rg.sizes) == scan_oracle.fullest(g)
+    assert dead_places(net, rg) == scan_oracle.dead_places(net, g)
+    assert dead_transitions(net, rg) == scan_oracle.dead_transitions(net, g)
+    assert is_deadlock_free(net, rg).witness == scan_oracle.dead_markings(net, g)
+    assert is_fully_transparent(net, m0, rg=rg).witness == scan_oracle.transparency_witness(net, g)
+    if not rg.complete:
+        return rg.verdict
+    assert bound_k(net, m0, rg=rg).k == scan_oracle.bound(g)
+    luc = check_lucency(net, m0, rg=rg)
+    want = scan_oracle.lucency_witness(net, g)
+    assert (luc.witness, luc.footprint) == (want or (None, None))
+    for cluster in net.clusters():
+        assert (check_no_dominating(net, m0, cluster, rg=rg).witness
+                == scan_oracle.no_dominating_witness(g, cluster))
+    assert (check_pairwise_incomparable(net, m0, rg=rg).witness
+            == scan_oracle.incomparable_witness(g))
+    assert home_markings(net, rg) == scan_oracle.home_markings(g)
+    return rg.verdict
+
+
+def test_packed_scans_match_marking_scans():
+    verdicts = set()
+    for net, m0 in _nets():
+        for limits in (None, ExplorationLimits(max_states=5)):
+            verdicts.add(assert_scans_match(net, m0, limits))
+    assert verdicts == {"complete", "truncated", "unbounded"}
+
+
+def assert_lookups_match(net, m0, queries=(), limits=None):
+    """``index_of``, ``contains``, ``above`` and ``is_home`` agree with a
+    dict of the decoded states on every state, the empty marking and
+    ``queries``; returns the graph."""
+    rg = explore(net, m0, limits)
+    g = explore_oracle.explore(net, m0, limits)
+    reference = {m: i for i, m in enumerate(g.states)}
+    homes = set(scan_oracle.home_markings(g)) if rg.complete else None
+    for m in list(g.states) + [Marking()] + list(queries):
+        assert rg.index_of(m) == reference.get(m), m
+        assert rg.contains(m) is (m in reference), m
+        assert rg.above(m) == next((i for i, s in enumerate(g.states) if m.lt(s)), None), m
+        if homes is None:
+            with pytest.raises(UndecidedError):
+                rg.is_home(m)
+        else:
+            assert rg.is_home(m) is (m in homes), m
+    return rg
+
+
+def test_lookups_with_places_outside_the_net():
+    net, m0 = ring(4)
+    carried = Marking.of("zz", "zz", "aa")
+    rg = assert_lookups_match(net, m0 + carried, [
+        m0, Marking.of("p2"),                         # without the carried items
+        m0 + Marking.of("zz", "aa"),                  # other counts on them
+        m0 + carried + Marking.of("yy"),              # one more place outside
+        Marking.of("aa"), carried,
+        Marking.of("p1") + Marking.of("zz"),          # below a state, not equal
+        Marking.of("p1", "yy"),                       # below a state but for yy
+    ])
+    assert rg.index_of(Marking.of("p1") + carried) == 1
+    assert rg.above(Marking.of("zz", "zz", "aa", "aa")) is None
+
+
+def test_lookups_of_counts_wider_than_a_field():
+    # safe: one value bit per field, so a count of 2 cannot be packed; a
+    # count of 4 on p0, packed, would read as one token on p1
+    net, m0 = ring(4)
+    rg = assert_lookups_match(net, m0, [Marking.of("p0", "p0"), Marking.from_counts({"p3": 5}),
+                                        Marking.of("p0", "p1", "p1"),
+                                        Marking.from_counts({"p0": 4})])
+    assert rg._layout.width == 1
+    # a safe start that puts two tokens on c restarts at width 2: 3 fits, 4
+    # does not, and 8 tokens on b, packed, would read as one on c
+    net = PetriNet(["a", "b", "c"], ["t1", "t2", "t3"],
+                   [("a", "t1"), ("t1", "b"), ("t1", "c"),
+                    ("b", "t2"), ("t2", "c"), ("c", "t3")])
+    rg = assert_lookups_match(net, Marking.of("a"), [
+        Marking.from_counts({"c": n}) for n in range(1, 7)] + [
+        Marking.from_counts({"b": 4, "c": 1}), Marking.from_counts({"b": 8}),
+        Marking.of("a", "a")])
+    assert rg._layout.width == 2
+    assert rg.contains(Marking.of("c", "c")) and not rg.contains(Marking.from_counts({"c": 4}))
+
+
+def test_lookups_of_the_empty_marking():
+    drain = PetriNet(["a", "b"], ["t", "u"], [("a", "t"), ("t", "b"), ("b", "u")])
+    rg = assert_lookups_match(drain, Marking.of("a"))
+    assert rg.index_of(Marking()) == 2 and rg.is_home(Marking())
+    rg = assert_lookups_match(drain, Marking())
+    assert rg.index_of(Marking()) == 0
+
+
+def test_lookups_on_unbounded_and_truncated_graphs():
+    pump = PetriNet(["p", "q"], ["t"], [("p", "t"), ("t", "p"), ("t", "q")])
+    rg = assert_lookups_match(pump, Marking.of("p"), [Marking.of("p", "q", "q")])
+    assert rg.verdict == "unbounded"
+    net, m0 = forkjoin(4)
+    rg = assert_lookups_match(net, m0, [Marking.of("d0", "d1", "d2", "d3")],
+                              ExplorationLimits(max_states=5))
+    assert rg.verdict == "truncated"
+
+
+def test_analyze_decodes_only_its_witnesses(monkeypatch, tmp_path, capsys):
+    # forkjoin(10) has 1,025 states; its report prints every one as a home
+    # marking, yet only the transparency witness (state 2) needs a Marking
+    decoded = []
+    decode = reachability._Layout.marking
+    monkeypatch.setattr(reachability._Layout, "marking",
+                        lambda layout, s: decoded.append(s) or decode(layout, s))
+    path = tmp_path / "fj.net"
+    path.write_text(serialize_net(document_of("fj", *forkjoin(10))))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 10_000
+    assert 0 < len(decoded) < 10

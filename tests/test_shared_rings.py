@@ -205,3 +205,14 @@ def test_shared_rings_match_public_checks(monkeypatch, limits):
         judged += len(seen["detection-equivalence"])
     assert judged > 200
 
+
+
+def test_paper_suite_explores_each_reference_net_once(explorations, capsys):
+    # 175 before the expectation check handed the suite its graphs; the 22
+    # random nets that suite_nets probes and the 9 ring variants it adds are
+    # still explored twice
+    assert main(["paper-suite", "--random", "30", "--seed", "123456", "--format", "json"]) == 0
+    capsys.readouterr()
+    for ref in all_reference_nets():
+        assert explorations[_key(ref.net, ref.initial)] == 1, ref.ident
+    assert sum(explorations.values()) == 170

@@ -188,7 +188,7 @@ def test_home_markings_need_completeness(n3):
     with pytest.raises(UndecidedError):
         home_markings(n3.net, rg)
     with pytest.raises(UndecidedError):
-        rg.is_home(rg.initial)
+        rg.is_home(rg.marking(0))
 
 
 def test_is_perpetual(n1, n3, n5):
