@@ -17,9 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected,
                      CorpusIntegrityError, TheoremViolation, UndecidedError)
-from .net import (Marking, PetriNet, connectivity, enabled_list,
-                  enabled_transitions, fire, is_free_choice, is_proper, mrk,
-                  net_class, sequence_enabled)
+from .net import (Marking, PetriNet, connectivity, enabled_transitions,
+                  is_free_choice, is_proper, mrk, net_class, sequence_enabled)
 from .reachability import (ExplorationLimits, ReachabilityGraph, explore, bound_k,
                            dead_places, dead_transitions, is_deadlock_free,
                            is_live, is_perpetual, is_safe, home_markings,
@@ -473,9 +472,6 @@ def generate(params: GeneratorParams) -> Tuple[PetriNet, Marking]:
 # -- the suite ----------------------------------------------------------------
 
 
-_WALKS_PER_NET = 10  # random walks replayed expedited, per free-choice net
-
-
 @dataclass
 class SuiteReport:
     nets: int = 0
@@ -491,33 +487,6 @@ class SuiteReport:
     @property
     def ok(self) -> bool:
         return not self.anomalies
-
-
-def _sample_walk(net, m0, rng, max_len=8, rg=None):
-    """A random enabled sequence from ``m0``: each step draws one of the
-    enabled transitions, in identifier order.  Given the graph of
-    ``(net, m0)``, it steps along the out-edges of expanded states, which
-    list the same transitions in the same order, and fires on the net only
-    past them."""
-    out = []
-    if rg is not None:
-        i = 0
-        while len(out) < max_len and rg.is_expanded(i):
-            edges = rg.out_edges(i)
-            if not edges:
-                return tuple(out)
-            t, i = rng.choice(edges)
-            out.append(t)
-        m0 = rg.marking(i) if len(out) < max_len else m0  # decoded only to walk on past rg
-    m = m0
-    while len(out) < max_len:
-        en = enabled_list(net, m)
-        if not en:
-            break
-        t = rng.choice(en)
-        out.append(t)
-        m = fire(net, m, t)
-    return tuple(out)
 
 
 def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
@@ -621,29 +590,6 @@ def _run_net_checks(report, name, net, m0, limits, rg=None):
                       "home-cluster-markings-incomparable",
                       "home-cluster-rooted-paths-safe", "dead-end-dichotomy"):
             report.record(check, "skip", name)
-
-    # replaying expedited variants of random enabled sequences
-    if fc:
-        rng = random.Random(f"suite:{name}")
-        failures = []
-        replayed = 0
-        for _ in range(_WALKS_PER_NET):
-            walk = _sample_walk(net, m0, rng, rg=rg)
-            if len(walk) < 2:
-                continue
-            v = paths.verify_expedite_safe(net, m0, walk, samples=5)
-            if v.value is not True:
-                failures.append((walk, v.witness))
-            else:
-                replayed += v.witness
-        if failures:
-            report.record("expedite-replay-equality", "fail", name, str(failures[0]))
-        elif replayed == 0:
-            report.record("expedite-replay-equality", "skip", name, "no movable sequences")
-        else:
-            report.record("expedite-replay-equality", "pass", name, f"{replayed} variants")
-    else:
-        report.record("expedite-replay-equality", "skip", name)
 
     sc_check = homecluster.check_strongly_connected_home_cluster(net, m0, limits, rg=rg)
     _record_check(report, name, "strongly-connected-home-cluster-live", sc_check)

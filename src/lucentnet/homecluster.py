@@ -174,6 +174,8 @@ def is_home_cluster_short_circuit(net: PetriNet, m0: Marking, cluster: Cluster,
     """
     if not is_free_choice(net):
         raise ValueError("short-circuit detection requires a free-choice net")
+    if not is_proper(net):
+        raise ValueError("short-circuit detection requires a proper net")
     return _ring_verdict(short_circuit(net, cluster, m0), m0, limits)[0]
 
 
@@ -204,8 +206,8 @@ def find_home_clusters(net: PetriNet, m0: Marking,
     both apply and both decide; a disagreement raises
     :class:`TheoremViolation`.  The short-circuit method silently steps
     aside for clusters (or nets) outside its preconditions: non-free-choice
-    nets, multiset initial markings, clusters not fully reachable from the
-    marking.
+    nets, non-proper nets, multiset initial markings, clusters not fully
+    reachable from the marking.
     """
     if method not in ("direct", "short-circuit", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -234,7 +236,7 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     want_direct = method in ("direct", "both")
     want_sc = method in ("short-circuit", "both")
     cleaned = kept = removed = read = None
-    if want_sc and is_free_choice(net) and m0.is_safe():
+    if want_sc and is_free_choice(net) and is_proper(net) and m0.is_safe():
         try:
             cleaned = clean(net, m0)  # shared by every cluster's ring
             kept = set(cleaned.nodes())

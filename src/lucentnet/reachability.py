@@ -155,10 +155,6 @@ class ReachabilityGraph:
     def out_edges(self, i: int) -> Sequence[Tuple[str, int]]:
         return self._out[i]
 
-    def is_expanded(self, i: int) -> bool:
-        """State ``i`` had all its successors generated."""
-        return i < self._expanded
-
     def enabled(self, i: int) -> FrozenSet[str]:
         """Enabled set of a state: the labels of its out-edges when it was
         expanded, otherwise computed from the net.  Cached either way."""

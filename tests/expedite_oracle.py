@@ -5,10 +5,25 @@ with checked firing, and each variant is fired again from the start."""
 from typing import Iterable, Sequence, Tuple
 
 from lucentnet.errors import NotEnabled
-from lucentnet.net import (Marking, PetriNet, enabled_transitions, fire,
-                           fire_sequence, sequence_enabled, sequence_to_multiset)
+from lucentnet.net import (Marking, PetriNet, enabled_list, enabled_transitions,
+                           fire, fire_sequence, sequence_enabled,
+                           sequence_to_multiset)
 from lucentnet.paths import expedite
 from lucentnet.reachability import Verdict
+
+
+def sample_walk(net: PetriNet, m: Marking, rng, max_len: int = 8) -> Tuple[str, ...]:
+    """A random enabled sequence from ``m``: each step draws one of the
+    enabled transitions, in identifier order, and fires it."""
+    out = []
+    while len(out) < max_len:
+        en = enabled_list(net, m)
+        if not en:
+            break
+        t = rng.choice(en)
+        out.append(t)
+        m = fire(net, m, t)
+    return tuple(out)
 
 
 def closure_neighbors(net: PetriNet, m: Marking, seq: Tuple[str, ...]):

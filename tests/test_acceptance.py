@@ -184,7 +184,6 @@ def test_criterion_10_randomized_suite():
                   "home-cluster-markings-incomparable",
                   "home-cluster-rooted-paths-safe",
                   "strongly-connected-home-cluster-live",
-                  "expedite-replay-equality",
                   "fully-transparent-implies-lucent",
                   "lucent-implies-bounded"):
         assert suite.counts[check]["fail"] == 0, check

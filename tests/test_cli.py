@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -36,6 +37,40 @@ def test_home_clusters_exit_codes(capsys):
     assert "no home clusters" in capsys.readouterr().out
     assert main(["home-clusters", corpus_file("n1"), "--method", "direct"]) == 0
     capsys.readouterr()
+
+
+NOT_PROPER = "short-circuit: not applicable to this net"
+
+
+def _home_report(capsys):
+    """The home-cluster part of a JSON report: all of ``home-clusters``'s
+    output, one section of ``analyze``'s."""
+    out = json.loads(capsys.readouterr().out)
+    return out if "details" in out else out["home_clusters"]
+
+
+def test_short_circuit_stands_aside_on_non_proper_nets(tmp_path, capsys):
+    # {p} is home, and {p, x} above it makes the short-circuited net
+    # unbounded: t2 has no output place, so the two methods need not agree
+    sink = tmp_path / "sink.net"
+    sink.write_text("net sink\nplace a init 1\nplace p\nplace x\ntrans t1\ntrans t2\n"
+                    "arc a -> t1\narc t1 -> p\narc t1 -> x\narc x -> t2\n")
+    for argv in (["analyze"], ["home-clusters"]):
+        assert main(argv + [str(sink), "--format", "json"]) == 0
+        report = _home_report(capsys)
+        assert report["home_clusters"] == [["p"]]
+        home = next(d for d in report["details"] if d["cluster"] == ["p"])
+        assert (home["is_home"], home["short_circuit"], home["note"]) == (True, None, NOT_PROPER)
+    # t has no input place: [p] is a home marking, but the state space is
+    # unbounded, so neither method decides {p, u}
+    source = tmp_path / "source.net"
+    source.write_text("net source\nplace p\ntrans t\ntrans u\narc t -> p\narc p -> u\n")
+    for method in ("short-circuit", "both"):
+        argv = ["home-clusters", str(source), "--method", method, "--format", "json"]
+        assert main(argv) == 3
+        pu = next(d for d in _home_report(capsys)["details"] if d["cluster"] == ["p", "u"])
+        assert (pu["is_home"], pu["short_circuit"]) == (None, None)
+        assert NOT_PROPER in pu["note"]
 
 
 def test_analyze_text(capsys):

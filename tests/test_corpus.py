@@ -4,6 +4,7 @@ from lucentnet import (ExplorationLimits, GeneratorParams, Marking,
                        all_reference_nets, connectivity, generate,
                        is_free_choice, is_proper, reference_net,
                        run_theorem_suite, suite_nets, verify_reference_net)
+from lucentnet import paths
 
 
 def test_reference_nets_load():
@@ -95,6 +96,19 @@ def test_suite_randomized_zero_anomalies():
     for check, slot in counts.items():
         assert slot["pass"] >= 1, check
     assert counts["detection-methods-agree"]["fail"] == 0
+
+
+def test_suite_replays_no_expedited_sequence(monkeypatch):
+    # replaying an expedited variant cannot fail (a legal move's mover has a
+    # preset disjoint from those it overtakes), so the suite replays none
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the suite replayed an expedited sequence")
+
+    monkeypatch.setattr(paths, "_replay", forbidden)
+    monkeypatch.setattr(paths, "verify_expedite_safe", forbidden)
+    report = run_theorem_suite(suite_nets(random_count=30, seed=1))
+    assert report.ok, report.anomalies
+    assert "expedite-replay-equality" not in report.counts
 
 
 def test_suite_includes_ring_variants():

@@ -1,18 +1,15 @@
 """The trace-based expediting in ``paths`` against the prefix-replay code it
-replaced (``expedite_oracle``), the suite's walks off the base graph
-against walks fired on the net, and a firing count that pins the cost of
+replaced (``expedite_oracle``), and a firing count that pins the cost of
 one ``verify_expedite_safe`` call."""
 
 import random
 
 import pytest
 
-from lucentnet import (ExplorationLimits, Marking, NetStructureError,
-                       NodeNotFound, NotEnabled, NotEnabledAt, PetriNet,
-                       all_reference_nets, can_expedite, explore,
-                       is_free_choice, suite_nets)
+from lucentnet import (ExplorationLimits, NetStructureError, NodeNotFound,
+                       NotEnabled, NotEnabledAt, all_reference_nets,
+                       can_expedite, explore, is_free_choice, suite_nets)
 from lucentnet import paths
-from lucentnet.corpus import _sample_walk
 import expedite_oracle
 from test_fast_short_circuit import forkjoin, ring
 from test_packed_explore import random_net
@@ -23,11 +20,10 @@ CAP = ExplorationLimits(max_states=2000)
 
 def walks(net, m0, seed, count=10, max_len=8):
     """Seeded random walks of ``net`` from ``m0`` with at least two steps."""
-    rg = explore(net, m0, CAP)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        walk = _sample_walk(net, m0, rng, max_len, rg=rg)
+        walk = expedite_oracle.sample_walk(net, m0, rng, max_len)
         if len(walk) >= 2:
             out.append(walk)
     return out
@@ -179,46 +175,6 @@ def test_base_errors_match_fire_sequence(n5):
         paths.verify_expedite_safe(n5.net, n5.initial, ("t2", "zz"))
     with pytest.raises(NotEnabled):
         paths.expedited_member(n5.net, n5.initial, ("t5",), ("t5",))
-
-
-# -- walks off the base graph ---------------------------------------------------
-
-
-def assert_same_walks(net, m0, limits, seed, max_len=8, count=10):
-    """Walks along the graph of ``(net, m0)`` equal walks fired on the net,
-    and draw the same random numbers."""
-    rg = explore(net, m0, limits)
-    fired, along = random.Random(seed), random.Random(seed)
-    for _ in range(count):
-        assert (_sample_walk(net, m0, along, max_len, rg=rg)
-                == _sample_walk(net, m0, fired, max_len))
-        assert along.getstate() == fired.getstate()
-    return rg
-
-
-def test_walks_on_complete_graphs():
-    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
-    nets += [forkjoin(4), ring(6)]
-    nets += [(net, m0) for _, net, m0 in suite_nets(random_count=60, seed=4)]
-    verdicts = [assert_same_walks(net, m0, None, k, max_len=12).verdict
-                for k, (net, m0) in enumerate(nets)]
-    assert verdicts.count("complete") > 40  # the rest are unbounded
-
-
-def test_walks_past_a_truncated_graph():
-    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
-    nets += [forkjoin(4), ring(6)]
-    for k, (net, m0) in enumerate(nets):
-        for cap in (1, 2, 3, 4):
-            rg = assert_same_walks(net, m0, ExplorationLimits(max_states=cap), k, max_len=12)
-            assert len(rg.states) <= cap
-
-
-def test_walks_past_an_unbounded_graph():
-    # t pumps a token into q on every round of the p loop
-    net = PetriNet(["p", "q"], ["t", "u"], [("p", "t"), ("t", "p"), ("t", "q"), ("q", "u")])
-    rg = assert_same_walks(net, Marking.of("p"), None, 1, max_len=12, count=20)
-    assert rg.verdict == "unbounded"
 
 
 # -- the cost of one verify_expedite_safe call -----------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected,
                        ExplorationLimits, Marking, PetriNet,
-                       RequiresSafeMarking, TheoremViolation, explore,
+                       RequiresSafeMarking, explore,
                        find_home_clusters, is_home_cluster_short_circuit, mrk,
                        short_circuit, suite_nets)
 from lucentnet import homecluster
@@ -54,29 +54,52 @@ def oracle(net, m0, cluster, limits):
 
 def assert_matches_oracle(net, m0, limits):
     """Both methods that compute a short-circuit verdict give the oracle's,
-    cluster by cluster; ``both`` may only raise where the oracle contradicts
-    the direct method.  Returns the oracle's verdicts."""
+    cluster by cluster, and ``both`` finds no disagreement.  Returns the
+    oracle's verdicts."""
     expected = [oracle(net, m0, c, limits) for c in net.clusters()]
-    sc = find_home_clusters(net, m0, limits, method="short-circuit")
-    assert [d.short_circuit for d in sc.details] == expected
-    try:
-        both = find_home_clusters(net, m0, limits, method="both")
-    except TheoremViolation:
-        direct = find_home_clusters(net, m0, limits, method="direct")
-        assert any(d.direct is not None and v is not None and d.direct != v
-                   for d, v in zip(direct.details, expected))
-        return expected
-    assert [d.short_circuit for d in both.details] == expected
+    for method in ("short-circuit", "both"):
+        report = find_home_clusters(net, m0, limits, method=method)
+        assert [d.short_circuit for d in report.details] == expected
     return expected
+
+
+def assert_reader_matches_rings(net, m0, limits):
+    """The reading of the base graph gives each cluster's ring verdict
+    (``_ring_verdict``), even on nets outside the short-circuit method's
+    precondition.  Returns how many home markings it refuted because a
+    reachable marking lies strictly above them (its domination branch)."""
+    rg = explore(net, m0, limits)
+    try:
+        read = homecluster._ring_reader(rg, homecluster.clean(net, m0), limits)
+    except CleanedNetInvalid:
+        return 0
+    if read is None:  # the base graph is truncated or over the cap
+        return 0
+    refuted = 0
+    for cluster in net.clusters():
+        try:
+            verdict, _ = homecluster._ring_verdict(short_circuit(net, cluster, m0), m0, limits)
+        except (ClusterNotConnected, CleanedNetInvalid):
+            continue
+        marking = mrk(cluster)
+        got = read(marking)
+        assert got is verdict.value, cluster
+        refuted += not got and rg.is_home(marking) and rg.above(marking) is not None
+    return refuted
 
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_fast_verdicts_match_oracle(cap):
     limits = ExplorationLimits(cap) if cap else None
     nets = [(name, net, m0) for name, net, m0 in suite_nets(random_count=500, seed=4242)]
-    # markings strictly above a home Mrk(C): the reading's domination check decides
-    nets += [(f"{name} with a prelude", *with_prelude(net, m0))
-             for name, net, m0 in nets[:120] if len(m0)]
+    # markings strictly above a home Mrk(C): the reading's domination check
+    # decides.  A prelude net is not proper (z_drain has no output place), so
+    # the reading is compared with the rings themselves there
+    preludes = [(f"{name} with a prelude", *with_prelude(net, m0))
+                for name, net, m0 in nets[:120] if len(m0)]
+    refuted = sum(assert_reader_matches_rings(net, m0, limits) for _, net, m0 in preludes)
+    assert refuted >= (50 if cap is None else 0)
+    nets += preludes
     nets += [(f"forkjoin({k})", *forkjoin(k)) for k in range(3, 7)]
     nets += [(f"ring({n})", *ring(n)) for n in range(2, 13)]
     fast = 0
@@ -94,15 +117,23 @@ def test_fast_verdicts_match_oracle(cap):
 
 
 def test_strictly_larger_marking_makes_the_ring_unbounded():
-    # {p} is the home marking, but {p, x} lies strictly above it
+    # {p} is the home marking, but {p, x} lies strictly above it.  t2 has
+    # no output place, so the net is not proper and the short-circuit
+    # method does not apply: the reading is checked against the ring directly
     net = PetriNet(["a", "p", "x"], ["t1", "t2"],
                    [("a", "t1"), ("t1", "p"), ("t1", "x"), ("x", "t2")])
     m0 = Marking.of("a")
     cluster = net.cluster_of("p")
     assert explore(net, m0).is_home(mrk(cluster))
-    v = is_home_cluster_short_circuit(net, m0, cluster)
+    v, _ = homecluster._ring_verdict(short_circuit(net, cluster, m0), m0, None)
     assert (v.value, v.reason) == (False, "short-circuited net is unbounded")
+    assert assert_reader_matches_rings(net, m0, None) == 1
+    with pytest.raises(ValueError, match="proper"):
+        is_home_cluster_short_circuit(net, m0, cluster)
     assert_matches_oracle(net, m0, None)
+    report = find_home_clusters(net, m0, method="both")
+    assert report.home_clusters == (cluster,)
+    assert {d.note for d in report.details} == {"short-circuit: not applicable to this net"}
 
 
 def test_unreachable_cluster_marking():
