@@ -62,23 +62,16 @@ def main(argv=None) -> int:
         description="Lucency, transparency, and home-cluster analysis for marked Petri nets")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="full property report for a net file")
-    p_analyze.add_argument("file")
-    _common(p_analyze)
-
-    p_lucency = sub.add_parser("lucency", help="decide lucency of a net file")
-    p_lucency.add_argument("file")
-    _common(p_lucency)
-
-    p_home = sub.add_parser("home-clusters", help="find home clusters of a net file")
-    p_home.add_argument("file")
-    p_home.add_argument("--method", choices=("direct", "short-circuit", "both"),
-                        default="both")
-    _common(p_home)
-
-    p_reach = sub.add_parser("reach", help="dump the reachable state space")
-    p_reach.add_argument("file")
-    _common(p_reach)
+    for command, summary in (("analyze", "full property report for a net file"),
+                             ("lucency", "decide lucency of a net file"),
+                             ("home-clusters", "find home clusters of a net file"),
+                             ("reach", "dump the reachable state space")):
+        p_file = sub.add_parser(command, help=summary)
+        p_file.add_argument("file")
+        if command == "home-clusters":
+            p_file.add_argument("--method", choices=("direct", "short-circuit", "both"),
+                                default="both")
+        _common(p_file)
 
     p_suite = sub.add_parser("paper-suite",
                              help="run the bundled reference nets and the randomized "

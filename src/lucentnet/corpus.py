@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected,
                      CorpusIntegrityError, TheoremViolation, UndecidedError)
-from .net import (Marking, PetriNet, connectivity, enabled_transitions,
+from .net import (Marking, PetriNet, _reachable, connectivity, enabled_transitions,
                   is_free_choice, is_proper, mrk, net_class, sequence_enabled)
 from .reachability import (ExplorationLimits, ReachabilityGraph, explore, bound_k,
                            dead_places, dead_transitions, is_deadlock_free,
@@ -283,7 +284,7 @@ def verify_reference_net(ref: ReferenceNet,
         if prop == "reachable_markings":
             return set(rg.states)
         if prop == "distinct_footprints":
-            return len({rg.enabled(i) for i in range(len(rg.states))})
+            return len(set(rg.masks()))
         if prop == "lucent":
             return luc.lucent
         if prop == "lucency_witness":
@@ -366,26 +367,6 @@ class GeneratorParams:
                 raise ValueError(f"bad range for {name}: ({lo}, {hi})")
 
 
-def _components(nodes, neighbors):
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
-
-
 def generate(params: GeneratorParams) -> Tuple[PetriNet, Marking]:
     """A random proper free-choice net plus an initial marking.
 
@@ -427,39 +408,33 @@ def generate(params: GeneratorParams) -> Tuple[PetriNet, Marking]:
         for p in rng.sample(all_places, n_out):
             arcs.append((t, p))
 
-    # weak-connectivity patch: hang every stray component off one transition
+    # weak-connectivity patch: hang every stray component off one transition,
+    # taking the components in order of their smallest node
     adj: Dict[str, set] = {x: set() for x in all_places + all_trans}
     for a, b in arcs:
         adj[a].add(b)
         adj[b].add(a)
-    comps = _components(all_places + all_trans, lambda x: adj[x])
     hub_t = all_trans[0]
-    hub = next(c for c in comps if hub_t in c)
-    for comp in sorted((c for c in comps if c is not hub), key=min):
-        target = min(p for p in comp if p in set(all_places))
-        arcs.append((hub_t, target))
+    rest = set(adj) - _reachable(hub_t, adj)
+    while rest:
+        comp = _reachable(min(rest), adj)
+        arcs.append((hub_t, min(comp.intersection(all_places))))
+        rest -= comp
 
     if params.force_strongly_connected:
         for _ in range(100):
             net = PetriNet(all_places, all_trans, arcs)
             nodes = net.nodes()
             pos = {x: k for k, x in enumerate(nodes)}
-            succ = [[pos[y] for y in sorted(net.postset(x))] for x in nodes]
-            comp = strong_components(succ)
-            n_comps = max(comp) + 1
-            if n_comps == 1:
+            succ = [pos[y] for x in nodes for y in sorted(net.postset(x))]
+            start = list(accumulate((len(net.postset(x)) for x in nodes), initial=0))
+            comp, closed = strong_components(succ, start)
+            if len(closed) == 1:
                 break
-            outgoing = [False] * n_comps
-            incoming = [False] * n_comps
-            for k, js in enumerate(succ):
-                for j in js:
-                    if comp[k] != comp[j]:
-                        outgoing[comp[k]] = True
-                        incoming[comp[j]] = True
-            sink = outgoing.index(False)
-            source = next((i for i in range(n_comps) if not incoming[i] and i != sink), None)
-            if source is None:
-                source = next(i for i in range(n_comps) if i != sink)
+            # join the first component no edge leaves to the first none enters:
+            # labels are topological, so none enters 0, nor 1 when 0 is closed
+            sink = closed.index(True)
+            source = int(sink == 0)
             t = min(x for k, x in enumerate(nodes) if comp[k] == sink and net.is_transition(x))
             p = min(x for k, x in enumerate(nodes) if comp[k] == source and net.is_place(x))
             arcs.append((t, p))

@@ -10,11 +10,12 @@ that each keep one input place of everything the other enables marked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import (ConstructionFailed, GreedyCycle, RequiresSafeMarking,
                      UndecidedError)
-from .net import Marking, PetriNet, enabled_transitions, fire, mrk
+from .net import Marking, PetriNet, enabled_transitions, fire, fire_sequence, mrk
 from .reachability import (ExplorationLimits, ReachabilityGraph, UNBOUNDED,
                            UnboundednessWitness, Verdict, explore)
 
@@ -46,15 +47,13 @@ def check_lucency(net: PetriNet, m0: Marking,
         return LucencyVerdict("not-lucent", unbounded=rg.unbounded_witness)
     if not rg.complete:
         return LucencyVerdict("undecided")
-    seen: Dict[FrozenSet[str], int] = {}
-    for i in range(len(rg.states)):
-        fp = rg.enabled(i)
-        first = seen.get(fp)
-        if first is not None:
+    seen: Dict[int, int] = {}  # footprint mask -> first state
+    for i, fp in enumerate(rg.masks()):
+        first = seen.setdefault(fp, i)
+        if first != i:
             return LucencyVerdict("not-lucent",
                                   witness=(rg.marking(first), rg.marking(i)),
-                                  footprint=tuple(sorted(fp)))
-        seen[fp] = i
+                                  footprint=rg.names(fp))
     return LucencyVerdict("lucent")
 
 
@@ -70,8 +69,8 @@ def is_fully_transparent(net: PetriNet, m0: Marking,
                          rg: Optional[ReachabilityGraph] = None) -> Verdict:
     """Every reachable marking is transparent; witness = first that is not."""
     rg = rg or explore(net, m0, limits)
-    for i, size in enumerate(rg.sizes):
-        if size != len(net.preset_of_set(rg.enabled(i))):  # see is_transparent_marking
+    for i, (size, en) in enumerate(zip(rg.sizes, rg.masks())):
+        if size != rg.inputs(en):  # see is_transparent_marking
             return Verdict(False, witness=rg.marking(i))
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
@@ -115,25 +114,23 @@ def find_conflict_pairs(net: PetriNet, m0: Marking,
                         ) -> Tuple[ConflictPair, ...]:
     """Scan ordered state pairs for conflict pairs, in exploration order.
 
-    Pairs are prefiltered by disjoint non-empty footprints before the two
-    marked-input conditions are checked.
+    The conditions of :func:`_pair_conditions` are read on masks: the
+    footprints are disjoint, and each is inside the set of transitions with
+    an input place the other state marks, which is found only for the
+    states of a pair with disjoint footprints.  Only the pairs found are
+    decoded.
     """
     rg = rg or explore(net, m0, limits)
     if not rg.complete:
         raise UndecidedError(f"conflict-pair search needs a complete exploration ({rg.verdict})")
-    n = len(rg.states)
-    fps = [rg.enabled(i) for i in range(n)]
-    sups = [frozenset(rg.states[i].support()) for i in range(n)]
+    masks, touched = list(rg.masks()), lru_cache(maxsize=None)(rg.touched)
+    live = [i for i, mask in enumerate(masks) if mask]
     found: List[ConflictPair] = []
-    for i in range(n):
-        if not fps[i]:
-            continue
-        for j in range(i + 1, n):
-            if not fps[j] or not fps[i].isdisjoint(fps[j]):
+    for a, i in enumerate(live):
+        for j in live[a + 1:]:
+            if masks[i] & masks[j] or masks[i] & ~touched(j) or masks[j] & ~touched(i):
                 continue
-            if not _pair_conditions(net, fps[i], sups[i], fps[j], sups[j]):
-                continue
-            found.append(ConflictPair(rg.states[i], rg.states[j]))
+            found.append(ConflictPair(rg.marking(i), rg.marking(j)))
             if max_pairs is not None and len(found) >= max_pairs:
                 return tuple(found)
     return tuple(found)
@@ -225,7 +222,6 @@ def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
                 raise GreedyCycle(f"marking pair revisited after firing {sigma}")
             seen.add((cur1, cur2))
     elif mode == "guided":
-        from .net import fire_sequence
         from .paths import expedite_split
 
         if cluster is None:
@@ -265,22 +261,21 @@ def _shortest_firing_path(rg: ReachabilityGraph, source: Marking,
         return ()
     prev: Dict[int, Tuple[int, str]] = {src: (-1, "")}
     frontier = [src]
-    while frontier:
+    while frontier and dst not in prev:  # one level at a time; the first edge into j wins
         nxt = []
         for i in frontier:
             for t, j in rg.out_edges(i):
                 if j not in prev:
                     prev[j] = (i, t)
-                    if j == dst:
-                        out = []
-                        k = j
-                        while k != src:
-                            k, t2 = prev[k]
-                            out.append(t2)
-                        return tuple(reversed(out))
                     nxt.append(j)
         frontier = nxt
-    return None
+    if dst not in prev:
+        return None
+    out, k = [], dst
+    while k != src:
+        k, t = prev[k]
+        out.append(t)
+    return tuple(reversed(out))
 
 
 # -- domination checks -------------------------------------------------------
@@ -306,8 +301,6 @@ def check_pairwise_incomparable(net: PetriNet, m0: Marking,
     cross-size pairs are compared.  An unbounded exploration already
     carries a dominating pair and is answered definitively.
     """
-    from .net import fire_sequence
-
     rg = rg or explore(net, m0, limits)
     if rg.verdict == UNBOUNDED:
         w = rg.unbounded_witness

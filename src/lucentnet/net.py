@@ -247,10 +247,7 @@ class PetriNet:
             raise NodeNotFound(f"unknown node {node!r}") from None
 
     def preset_of_set(self, nodes: Iterable[str]) -> FrozenSet[str]:
-        out: set = set()
-        for x in nodes:
-            out |= self.preset(x)
-        return frozenset(out)
+        return frozenset().union(*map(self.preset, nodes))
 
     # -- clusters ---------------------------------------------------------
 

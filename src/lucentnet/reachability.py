@@ -27,17 +27,19 @@ the low bits of t's preset and postset (``preg[t] = pre1[t] << w``):
 Each state also keeps the smallest token count on its root path.  Only an
 ancestor with fewer tokens can be strictly dominated, so the ancestor walk
 stops as soon as none is left above (Karp & Miller 1969); a net that
-conserves tokens never walks.  The graph keeps the packed states, and a
-state becomes a :class:`Marking` only where one is asked for.
+conserves tokens never walks.  The graph keeps the packed states (decoded
+only where asked), an enabled mask per state and a flat successor list.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
+from itertools import accumulate, chain
 from operator import or_
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
 from .net import Marking, PetriNet, compiled, enabled_transitions, mrk
@@ -83,35 +85,36 @@ class ReachabilityGraph:
     derived from them: enabled sets, SCCs and home markings, each computed
     at most once.
 
-    The graph keeps the search's packed states, index dict, token counts
-    (``sizes``) and out-edges; :meth:`marking` decodes one state, and
-    ``states`` and ``edges`` are views whose items are built on first access.
+    The graph keeps what the search wrote: the packed states, index dict,
+    token counts (``sizes``), and for each state it began to expand a mask
+    (bit t for transition t) and successors ``succ[start[i]:start[i + 1]]``
+    in compressed sparse row form, the k-th labelled by the mask's k-th set
+    bit.  The first ``expanded`` states' masks are their enabled sets.
 
     ``states[0]`` is the initial marking; every edge ``(i, t, j)`` satisfies
     ``fire(states[i], t) == states[j]``.  When the verdict is ``complete``
-    the graph is the full reachability graph.  The first ``expanded``
-    states had all their successors generated, so their out-edges carry
-    exactly their enabled transitions.
+    the graph is the full reachability graph.  ``states`` and ``edges`` are
+    views built on first access.
     """
 
-    def __init__(self, net, layout, packed, index, sizes, out, verdict,
+    def __init__(self, net, layout, packed, index, sizes, masks, succ, verdict,
                  unbounded_witness, expanded):
+        n, names = len(packed), net.transitions
+        masks += [0] * (n - len(masks))  # the states never expanded
+        start = array("l", accumulate(map(int.bit_count, masks), initial=0))  # a successor per bit
         self.net: PetriNet = net
         self.verdict: str = verdict
         self.unbounded_witness: Optional[UnboundednessWitness] = unbounded_witness
         self.sizes: List[int] = sizes
-        self.states: Sequence[Marking] = _View(len(packed), partial(map, layout.marking, packed))
-        self.edges: Sequence[Tuple[int, str, int]] = _View(
-            sum(map(len, out)), lambda: ((i, t, j) for i, e in enumerate(out) for t, j in e))
-        self._layout = layout
-        self._packed = packed
-        self._index: Dict[int, int] = index
-        out += [()] * (len(packed) - len(out))  # the states never expanded
-        self._out = out
+        self.states: Sequence[Marking] = _View(n, partial(map, layout.marking, packed))
+        self.edges: Sequence[Tuple[int, str, int]] = _View(len(succ), lambda: (
+            (i, names[t], j) for i in range(n)
+            for t, j in zip(_bits(masks[i]), succ[start[i]:start[i + 1]])))
+        self._layout, self._packed, self._index = layout, packed, index
+        self._masks, self._succ, self._start = masks, succ, start
         self._expanded = expanded
-        self._enabled: List[Optional[FrozenSet[str]]] = [None] * len(packed)
-        self._terminal_sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._sccs: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._scanned: Dict[int, int] = {}
+        self._components: Optional[tuple] = None  # (sccs, terminal sccs)
         self._home: Optional[FrozenSet[int]] = None
         self._live: Optional[Verdict] = None
 
@@ -121,7 +124,8 @@ class ReachabilityGraph:
 
     def marking(self, i: int) -> Marking:
         """State ``i`` as a :class:`Marking`."""
-        return self._layout.marking(self._packed[i])
+        items = self.states.__dict__.get("_items")  # the states view, once built
+        return self._layout.marking(self._packed[i]) if items is None else items[i]
 
     def strings(self, i: int) -> List[str]:
         """State ``i``'s ``place:count`` strings (``Marking.as_strings``)."""
@@ -152,20 +156,45 @@ class ReachabilityGraph:
         return next((i for i, n in enumerate(self.sizes)
                      if n > size and ((self._packed[i] | g) - s) & g == g), None)
 
+    def names(self, mask: int) -> Tuple[str, ...]:
+        """The transitions of a mask, in identifier order."""
+        return tuple(map(self.net.transitions.__getitem__, _bits(mask)))
+
     def out_edges(self, i: int) -> Sequence[Tuple[str, int]]:
-        return self._out[i]
+        return list(zip(self.names(self._masks[i]), self._succ[self._start[i]:self._start[i + 1]]))
+
+    def mask(self, i: int) -> int:
+        """Enabled set of a state as a mask: the one the search wrote when
+        it expanded the state, otherwise computed from the net once."""
+        if i < self._expanded:
+            return self._masks[i]
+        mask = self._scanned.get(i)
+        if mask is None:
+            mask = self._scanned[i] = sum(map(self._bit.__getitem__, enabled_transitions(
+                self.net, self.marking(i))))
+        return mask
+
+    @cached_property
+    def _bit(self) -> Dict[str, int]:
+        return {t: 1 << k for k, t in enumerate(self.net.transitions)}
+
+    def masks(self) -> Iterator[int]:
+        """The enabled mask of every state, in state order, scanned lazily."""
+        done = self._expanded
+        return chain(self._masks[:done], map(self.mask, range(done, len(self.sizes))))
+
+    def inputs(self, mask: int) -> int:
+        """How many places the presets of the transitions in ``mask`` hold."""
+        return reduce(or_, map(self._layout.need.__getitem__, _bits(mask)), 0).bit_count()
+
+    def touched(self, i: int) -> int:
+        """The transitions with an input place that state ``i`` marks, as a mask."""
+        outs = compiled(self.net).outs
+        return reduce(or_, map(outs.__getitem__, self._layout.marked(self._packed[i])), 0)
 
     def enabled(self, i: int) -> FrozenSet[str]:
-        """Enabled set of a state: the labels of its out-edges when it was
-        expanded, otherwise computed from the net.  Cached either way."""
-        en = self._enabled[i]
-        if en is None:
-            if i < self._expanded:
-                en = frozenset(t for t, _ in self._out[i])
-            else:
-                en = enabled_transitions(self.net, self.marking(i))
-            self._enabled[i] = en
-        return en
+        """Enabled set of a state, by name (see :meth:`mask`)."""
+        return frozenset(self.names(self.mask(i)))
 
     def homes(self) -> Tuple[int, ...]:
         """The states of the terminal SCC if it is unique: home markings lie in every one."""
@@ -186,7 +215,8 @@ class ReachabilityGraph:
 
         For a finite complete graph this is equivalent to: every transition
         labels an edge inside every terminal SCC (each state can reach a
-        terminal SCC, and inside one every member marking is revisitable).
+        terminal SCC, and inside one every member marking is revisitable);
+        its labels are the OR of its states' masks, as no edge leaves it.
         The counterexample is the lexicographically smallest missing
         transition at the first state of the offending component.
         """
@@ -197,39 +227,32 @@ class ReachabilityGraph:
     def _liveness(self) -> Verdict:
         if not self.complete:
             return Verdict(None, reason=self.verdict)
+        every = (1 << len(self.net.transitions)) - 1
         for scc in self.terminal_sccs():
-            inside = set(scc)
-            labels = {t for i in scc for t, j in self._out[i] if j in inside}
-            missing = sorted(set(self.net.transitions) - labels)
+            missing = every & ~reduce(or_, map(self._masks.__getitem__, scc))
             if missing:
                 return Verdict(False, reason="transition cannot fire again",
-                               witness=(missing[0], self.marking(scc[0])))
+                               witness=(self.names(missing)[0], self.marking(scc[0])))
         return Verdict(True)
 
     # -- strongly connected components ------------------------------------
 
     def sccs(self) -> Tuple[Tuple[int, ...], ...]:
-        if self._sccs is None:
-            self._compute_sccs()
-        return self._sccs
+        return self._find_sccs()[0]
 
     def terminal_sccs(self) -> Tuple[Tuple[int, ...], ...]:
         """SCCs without any edge leaving the component."""
-        if self._terminal_sccs is None:
-            self._compute_sccs()
-        return self._terminal_sccs
+        return self._find_sccs()[1]
 
-    def _compute_sccs(self):
-        succ = [[j for _, j in out] for out in self._out]
-        comp = strong_components(succ)
-        members: Dict[int, list] = {}
-        for i, c in enumerate(comp):
-            members.setdefault(c, []).append(i)
-        has_exit = {comp[i] for i, js in enumerate(succ) for j in js if comp[i] != comp[j]}
-        sccs = sorted((tuple(v) for v in members.values()), key=lambda c: c[0])
-        self._sccs = tuple(sccs)
-        self._terminal_sccs = tuple(c for c in sccs
-                                    if comp[c[0]] not in has_exit)
+    def _find_sccs(self):
+        if self._components is None:
+            comp, closed = strong_components(self._succ, self._start)
+            members: Dict[int, list] = {}
+            for i, c in enumerate(comp):  # components in order of their first state
+                members.setdefault(c, []).append(i)
+            sccs = tuple(map(tuple, members.values()))
+            self._components = sccs, tuple(c for c in sccs if closed[comp[c[0]]])
+        return self._components
 
 
 class _View(abc.Sequence):
@@ -255,73 +278,94 @@ class _View(abc.Sequence):
         return self._items == tuple(other) if isinstance(other, (tuple, _View)) else NotImplemented
 
 
-def strong_components(succ: Sequence[Sequence[int]]) -> List[int]:
-    """Component label of every node ``0..n-1`` of a digraph given by
-    successor lists.
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
-    Kosaraju, iterative: forward postorder, then a sweep of the transposed
-    graph in reverse postorder.  Components are numbered in discovery
-    order, which is a topological order of the condensation: every edge
-    between two components goes from a smaller label to a larger one.
+
+def strong_components(succ: Sequence[int], start: Sequence[int]) -> Tuple[List[int], List[bool]]:
+    """The component label of every node v of a digraph with successors
+    ``succ[start[v]:start[v + 1]]``, and per label whether no edge leaves it.
+
+    Tarjan (1972), iterative, one depth-first search from nodes 0, 1, ...
+    with successors in order.  Components complete in reverse topological
+    order and are numbered from the last completed, so every edge between
+    two goes from a smaller label to a larger (Kosaraju's labels under the
+    same search).  An edge leaves a component when it meets a completed one.
     """
-    n = len(succ)
-    pred: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in succ[i]:
-            pred[j].append(i)
-
-    order = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
+    n = len(start) - 1
+    num, low = [0] * n, [0] * n  # depth-first number (0 while unvisited), lowlink
+    comp = [-1] * n  # completion rank, -1 while on the stack or unvisited
+    leaves = [False] * n  # the node has an edge out of its component
+    closed: List[bool] = []  # per completion rank: no edge leaves the component
+    stack: List[int] = []
+    count = done = 0
+    for root in range(n):
+        if num[root]:
             continue
-        seen[s] = True
-        stack = [(s, iter(succ[s]))]
-        while stack:
-            v, it = stack[-1]
-            pushed = False
+        num[root] = low[root] = count = count + 1
+        stack.append(root)
+        calls = [(root, iter(succ[start[root]:start[root + 1]]))]
+        while calls:
+            v, it = calls[-1]
             for w in it:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(succ[w])))
-                    pushed = True
-                    break
-            if not pushed:
-                order.append(v)
-                stack.pop()
-
-    comp = [-1] * n
-    label = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = label
-        while stack:
-            v = stack.pop()
-            for w in pred[v]:
-                if comp[w] == -1:
-                    comp[w] = label
+                if not num[w]:  # descend into w; v resumes at its next successor
+                    num[w] = low[w] = count = count + 1
                     stack.append(w)
-        label += 1
-    return comp
+                    calls.append((w, iter(succ[start[w]:start[w + 1]])))
+                    break
+                if comp[w] >= 0:
+                    leaves[v] = True
+                elif num[w] < low[v]:  # w is on the stack
+                    low[v] = num[w]
+            else:
+                calls.pop()
+                if low[v] == num[v]:
+                    shut = True
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        shut = shut and not leaves[w]
+                        if w == v:
+                            break
+                    closed.append(shut)
+                    done += 1
+                    if calls:
+                        leaves[calls[-1][0]] = True
+                elif low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+    return [done - 1 - c for c in comp], closed[::-1]
 
 
 class _Layout:
     """Packs and decodes a net's markings at field width ``w`` (see the module
-    docstring; ``ones`` is ``ONES``, ``guard`` is ``G``).  ``extra`` holds the
-    initial marking's items on places outside the net, carried by every state."""
+    docstring; ``ones`` is ``ONES``, ``guard`` is ``G``, ``need[t]`` is
+    ``preg[t]``, and firing t adds ``delta[t]``).  ``extra`` holds the initial
+    marking's items on places outside the net, carried by every state."""
 
-    __slots__ = ("width", "field", "ones", "guard", "places", "index", "extra", "labels")
+    __slots__ = ("width", "field", "ones", "guard", "places", "index", "extra", "labels",
+                 "need", "delta")
 
-    def __init__(self, places, index, extra, w: int):
-        f = w + 1
+    def __init__(self, form, places, extra, w: int):
+        f, at = w + 1, form.place_index
         self.width = w
         self.field = f
-        self.ones = ((1 << (len(index) * f)) - 1) // ((1 << f) - 1)
+        self.ones = ((1 << (len(at) * f)) - 1) // ((1 << f) - 1)
         self.guard = self.ones << w
-        self.places, self.index, self.extra = places, index, extra
+        self.places, self.index, self.extra = places, at, extra
         self.labels = [f"{p}:1" for p in places]  # the strings of a safe state
+        self.need, self.delta = [], []
+        for t in form.transitions:
+            x = y = 0
+            for p in form.pre[t]:
+                x |= 1 << (at[p] * f)
+            for p in form.post[t]:
+                y |= 1 << (at[p] * f)
+            self.need.append(x << w)
+            self.delta.append(y - x)
 
     def pack(self, m: Marking):
         """m's counts on the net's places packed (None if one is too wide), and m's other items."""
@@ -373,7 +417,7 @@ def explore(net: PetriNet, m0: Marking,
     extra = tuple((p, n) for p, n in m0.items if p not in index)
     w = max(1, max((n for p, n in m0.items if p in index), default=0).bit_length())
     while True:
-        layout = _Layout(net.places, index, extra, w)
+        layout = _Layout(form, net.places, extra, w)
         run = _search(form, layout, layout.pack(m0)[0], len(m0), limits.max_states)
         if run is not None:
             break
@@ -383,19 +427,11 @@ def explore(net: PetriNet, m0: Marking,
 
 def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
     """The breadth-first search of :func:`explore` at one field width:
-    ``(states, index, sizes, out, verdict, witness, expanded)`` with packed
-    states and the out-edges ``(t, j)`` of every state it began to expand,
-    or ``None`` as soon as a count outgrows its field."""
-    guard, ones, f, at = layout.guard, layout.ones, layout.field, layout.index
-    pre_guard, delta = [], []  # preg[t], and post1[t] - pre1[t]: firing t is one addition
-    for t in form.transitions:
-        x = y = 0
-        for p in form.pre[t]:
-            x |= 1 << (at[p] * f)
-        for p in form.post[t]:
-            y |= 1 << (at[p] * f)
-        pre_guard.append(x << layout.width)
-        delta.append(y - x)
+    ``(states, index, sizes, masks, succ, verdict, witness, expanded)`` as
+    :class:`ReachabilityGraph` keeps them, or ``None`` as soon as a count
+    outgrows its field."""
+    guard, ones, f = layout.guard, layout.ones, layout.field
+    pre_guard, delta = layout.need, layout.delta
     outs, always, dsize, names = form.outs, form.always, form.dsize, form.transitions
     states = [s0]
     index = {s0: 0}
@@ -403,14 +439,14 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
     least = [size0]   # smallest token count on each state's root path
     parent = [-1]
     via = [-1]        # the transition that first reached each state
-    out: List[list] = []
+    masks: List[int] = []
+    succ: List[int] = []
 
     pos = 0
     while pos < len(states):
         s = states[pos]
         size = sizes[pos]
-        edges = []
-        out.append(edges)
+        mask = 0
         marked = ((s | guard) - ones) & guard
         candidates = always
         rest = marked
@@ -440,10 +476,12 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
                         stem = _path(k, parent, via, names)
                         full = _path(pos, parent, via, names) + (names[t],)
                         witness = UnboundednessWitness(stem=stem, pump=full[len(stem):])
-                        return states, index, sizes, out, UNBOUNDED, witness, pos
+                        masks.append(mask)
+                        return states, index, sizes, masks, succ, UNBOUNDED, witness, pos
                     k = parent[k]
                 if len(states) >= max_states:
-                    return states, index, sizes, out, TRUNCATED, None, pos
+                    masks.append(mask)
+                    return states, index, sizes, masks, succ, TRUNCATED, None, pos
                 j = len(states)
                 states.append(s2)
                 index[s2] = j
@@ -451,9 +489,11 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
                 least.append(min(least[pos], size2))
                 parent.append(pos)
                 via.append(t)
-            edges.append((names[t], j))
+            succ.append(j)
+            mask |= bit
+        masks.append(mask)
         pos += 1
-    return states, index, sizes, out, COMPLETE, None, pos
+    return states, index, sizes, masks, succ, COMPLETE, None, pos
 
 
 def _path(k: int, parent, via, names) -> Tuple[str, ...]:
@@ -520,15 +560,14 @@ def dead_places(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
 
 
 def dead_transitions(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
-    """Transitions labeling no explored edge."""
-    fired = {t for out in rg._out for t, _ in out}
-    return tuple(sorted(set(net.transitions) - fired))
+    """Transitions labeling no explored edge: the zero bits of the OR of all masks."""
+    return tuple(sorted(set(net.transitions) - set(rg.names(reduce(or_, rg._masks)))))
 
 
 def is_deadlock_free(net: PetriNet, rg: ReachabilityGraph) -> Verdict:
     """No reachable marking with an empty enabled set; the witness carries
     the dead markings found (in state order)."""
-    dead = tuple(map(rg.marking, (i for i in range(len(rg.states)) if not rg.enabled(i))))
+    dead = tuple(rg.marking(i) for i, mask in enumerate(rg.masks()) if not mask)
     if dead:
         return Verdict(False, witness=dead)
     if not rg.complete:

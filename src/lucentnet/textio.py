@@ -123,8 +123,11 @@ def parse_net(text: str) -> NetDocument:
     doc = NetDocument(name, tuple(places), tuple(transitions), tuple(arcs))
     try:
         doc.to_net()
-    except NetStructureError as exc:
-        raise ParseError(1, f"document does not describe a valid net: {exc}") from exc
+    except NetStructureError as exc:  # name the line declaring the first node listed
+        node = str(exc).partition("['")[2].partition("'")[0]
+        lineno = next((k for k, raw in enumerate(text.split("\n"), start=1) if node and
+                       raw.partition("#")[0].split()[:2] in (["place", node], ["trans", node])), 1)
+        raise ParseError(lineno, f"document does not describe a valid net: {exc}") from exc
     return doc
 
 

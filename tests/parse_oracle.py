@@ -3,6 +3,7 @@ and the bulk checks of ``PetriNet.__init__`` replaced, kept as their test
 oracle: every statement and every item is checked on its own, in order.
 Lines end at "\\n" only, as they do in the parser."""
 
+import ast
 import re
 from typing import Dict, FrozenSet, List, Set, Tuple
 
@@ -82,6 +83,7 @@ def parse_net(text: str) -> NetDocument:
     arcs: List[Tuple[str, str]] = []
     arc_set: Set[Tuple[str, str]] = set()
     declared: Dict[str, str] = {}
+    declared_on: Dict[str, int] = {}  # identifier -> its declaration line
 
     def ident(token, lineno):
         if not _IDENT.match(token):
@@ -116,6 +118,7 @@ def parse_net(text: str) -> NetDocument:
             if p in declared:
                 raise ParseError(lineno, f"duplicate identifier {p!r}")
             declared[p] = "place"
+            declared_on[p] = lineno
             places.append((p, init))
         elif kind == "trans":
             if len(fields) != 2:
@@ -124,6 +127,7 @@ def parse_net(text: str) -> NetDocument:
             if t in declared:
                 raise ParseError(lineno, f"duplicate identifier {t!r}")
             declared[t] = "trans"
+            declared_on[t] = lineno
             transitions.append(t)
         elif kind == "arc":
             if len(fields) != 4 or fields[2] != "->":
@@ -150,5 +154,9 @@ def parse_net(text: str) -> NetDocument:
     try:
         check_net([p for p, _ in doc.places], doc.transitions, doc.arcs)
     except NetStructureError as exc:
-        raise ParseError(1, f"document does not describe a valid net: {exc}") from exc
+        # the line of the first node in the message's list, else line 1
+        message = str(exc)
+        listed = ast.literal_eval(message.rpartition(": ")[2]) if message.endswith("]") else []
+        raise ParseError(declared_on[listed[0]] if listed else 1,
+                         f"document does not describe a valid net: {exc}") from exc
     return doc

@@ -71,12 +71,12 @@ def transparency_witness(net, g):
     return None
 
 
-def home_markings(g):
-    """The states reachable from every state, by one search per state."""
+def _reach(g):
+    """The states each state reaches, by one search per state."""
     succ: Dict[int, List[int]] = {}
     for i, _, j in g.edges:
         succ.setdefault(i, []).append(j)
-    homes = set(range(len(g.states)))
+    out = []
     for start in range(len(g.states)):
         seen, stack = {start}, [start]
         while stack:
@@ -84,8 +84,41 @@ def home_markings(g):
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        homes &= seen
+        out.append(seen)
+    return out
+
+
+def home_markings(g):
+    """The states reachable from every state."""
+    homes = set.intersection(*_reach(g))
     return tuple(g.states[h] for h in sorted(homes))
+
+
+def sccs(g):
+    """The SCCs (by mutual reachability, in order of their first state) and
+    the terminal ones (their first state reaches only members)."""
+    reach = _reach(g)
+    members: Dict[FrozenSet[int], List[int]] = {}
+    for i in range(len(g.states)):
+        members.setdefault(frozenset(j for j in reach[i] if i in reach[j]), []).append(i)
+    comps = tuple(map(tuple, members.values()))
+    return comps, tuple(c for c in comps if reach[c[0]] == set(c))
+
+
+def conflict_pairs(net, g):
+    """The state pairs i < j, in exploration order, with non-empty disjoint
+    enabled sets where each keeps an input place of every transition the
+    other enables marked."""
+    def keeps(m, enabled):
+        return all(net.preset(t) & set(m.support()) for t in enabled)
+
+    found = []
+    for i, m1 in enumerate(g.states):
+        for m2 in g.states[i + 1:]:
+            en1, en2 = enabled_transitions(net, m1), enabled_transitions(net, m2)
+            if en1 and en2 and en1.isdisjoint(en2) and keeps(m2, en1) and keeps(m1, en2):
+                found.append((m1, m2))
+    return found
 
 
 def strings(g):

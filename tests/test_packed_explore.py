@@ -1,9 +1,12 @@
 """The packed-integer ``explore`` against the Marking-based explorer it
-replaced (``explore_oracle``): same states in the same order, same edges,
-verdict, witness, expanded count, token counts and index, on every net
-family and on the field-widening paths."""
+replaced (``explore_oracle``): same states in the same order, same edges
+and out-edges, verdict, witness, expanded count, token counts and index,
+and enabled masks equal to the net's enabled sets, on every net family and
+on the field-widening paths."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -40,6 +43,14 @@ def assert_same(net, m0, limits=None):
     assert got._expanded == want.expanded
     assert got.sizes == [len(m) for m in want.states]
     assert [got.index_of(m) for m in want.index] == list(want.index.values())
+    out = [[] for _ in want.states]
+    for i, t, j in want.edges:
+        out[i].append((t, j))
+    assert [got.out_edges(i) for i in range(len(out))] == out
+    bit = {t: 1 << k for k, t in enumerate(net.transitions)}
+    masks = [sum(bit[t] for t in enabled_transitions(net, m)) for m in want.states]
+    assert got._masks[:want.expanded] == masks[:want.expanded]  # written by the search
+    assert list(got.masks()) == masks  # the rest scanned from the net
     return got
 
 
@@ -187,3 +198,19 @@ def test_enabled_list_is_place_driven_and_in_identifier_order():
             want = explore_oracle.scan_enabled(net, m)
             assert enabled_list(net, m) == want
             assert enabled_transitions(net, m) == frozenset(want)
+
+
+def test_graph_holds_at_most_24_bytes_per_edge():
+    # the masks and flat successor list; one (name, j) tuple per edge, as
+    # the graph kept before, took about 80 bytes per edge
+    net, m0 = forkjoin(12)
+    explore(net, m0)  # the compiled form is built once, outside the measure
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rg = explore(net, m0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (len(rg.states), len(rg.edges)) == (4097, 49_154)
+    assert held <= 24 * len(rg.edges)

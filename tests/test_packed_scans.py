@@ -10,7 +10,8 @@ from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
                        UndecidedError, all_reference_nets, bound_k,
                        check_lucency, check_no_dominating,
                        check_pairwise_incomparable, dead_places,
-                       dead_transitions, document_of, explore, home_markings,
+                       dead_transitions, document_of, explore,
+                       find_conflict_pairs, home_markings,
                        is_deadlock_free, is_fully_transparent, serialize_net,
                        suite_nets)
 from lucentnet import reachability
@@ -61,6 +62,11 @@ def assert_scans_match(net, m0, limits=None):
     assert (check_pairwise_incomparable(net, m0, rg=rg).witness
             == scan_oracle.incomparable_witness(g))
     assert home_markings(net, rg) == scan_oracle.home_markings(g)
+    assert (rg.sccs(), rg.terminal_sccs()) == scan_oracle.sccs(g)
+    pairs = [(p.m1, p.m2) for p in find_conflict_pairs(net, m0, rg=rg)]
+    assert pairs == scan_oracle.conflict_pairs(net, g)
+    assert find_conflict_pairs(net, m0, rg=rg, max_pairs=1) == find_conflict_pairs(
+        net, m0, rg=rg)[:1]
     return rg.verdict
 
 
@@ -158,3 +164,19 @@ def test_analyze_decodes_only_its_witnesses(monkeypatch, tmp_path, capsys):
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 10_000
     assert 0 < len(decoded) < 10
+
+
+def test_conflict_pairs_decode_only_the_pairs_found(monkeypatch, n3):
+    decoded = []
+    decode = reachability._Layout.marking
+    monkeypatch.setattr(reachability._Layout, "marking",
+                        lambda layout, s: decoded.append(s) or decode(layout, s))
+    # c and the self-loop s keep s enabled at every state of forkjoin(6):
+    # no two footprints are disjoint, so no state is decoded
+    net, m0 = forkjoin(6)
+    net = PetriNet(net.places + ("c",), net.transitions + ("s",),
+                   sorted(net.flow) + [("c", "s"), ("s", "c"), ("c", "tf"), ("tf", "c")])
+    assert find_conflict_pairs(net, m0 + Marking.of("c")) == ()
+    assert decoded == []
+    pairs = find_conflict_pairs(n3.net, n3.initial)
+    assert pairs and len(decoded) == 2 * len(pairs)

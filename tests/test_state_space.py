@@ -256,13 +256,62 @@ def test_graph_scans_only_unexpanded_states_once(n3, monkeypatch):
     assert scanned == [cut.states[1], cut.states[2]]
 
 
+def kosaraju(succ):
+    """The SCC routine that the CSR Tarjan replaced, kept as its oracle:
+    forward postorder, then a sweep of the transposed graph in reverse
+    postorder, numbering components in discovery order."""
+    n = len(succ)
+    pred = [[] for _ in range(n)]
+    for i in range(n):
+        for j in succ[i]:
+            pred[j].append(i)
+    order, seen = [], [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(succ[s]))]
+        while stack:
+            v, it = stack[-1]
+            w = next((w for w in it if not seen[w]), None)
+            if w is None:
+                order.append(v)
+                stack.pop()
+            else:
+                seen[w] = True
+                stack.append((w, iter(succ[w])))
+    comp, label = [-1] * n, 0
+    for s in reversed(order):
+        if comp[s] != -1:
+            continue
+        stack, comp[s] = [s], label
+        while stack:
+            for w in pred[stack.pop()]:
+                if comp[w] == -1:
+                    comp[w] = label
+                    stack.append(w)
+        label += 1
+    return comp
+
+
+def random_digraph(rng):
+    """Successor lists with self-loops, repeated targets and isolated nodes."""
+    n = rng.choice([1, 1, 2, 3, rng.randint(4, 12), rng.randint(13, 60)])
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 3)))
+    return [[] if v in isolated else
+            [rng.choice([u for u in range(n) if u not in isolated] or [v])
+             for _ in range(rng.randint(0, 3))]
+            for v in range(n)]
+
+
 def test_strong_components_match_mutual_reachability():
     import random
+    from itertools import accumulate
     from lucentnet.reachability import strong_components
     rng = random.Random(3)
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
+    for _ in range(600):
+        succ = random_digraph(rng)
+        n = len(succ)
         reach = []
         for s in range(n):
             seen, stack = {s}, [s]
@@ -272,13 +321,17 @@ def test_strong_components_match_mutual_reachability():
                         seen.add(w)
                         stack.append(w)
             reach.append(seen)
-        comp = strong_components(succ)
-        assert sorted(set(comp)) == list(range(len(set(comp))))
+        comp, closed = strong_components([j for js in succ for j in js],
+                                         list(accumulate(map(len, succ), initial=0)))
+        assert comp == kosaraju(succ)
+        assert sorted(set(comp)) == list(range(len(closed)))
+        leaving = {comp[a] for a in range(n) for b in succ[a] if comp[a] != comp[b]}
+        assert closed == [c not in leaving for c in range(len(closed))]
         for a in range(n):
             for b in range(n):
                 assert (comp[a] == comp[b]) == (b in reach[a] and a in reach[b])
                 if b in succ[a]:
-                    assert comp[a] <= comp[b]  # discovery order is topological
+                    assert comp[a] <= comp[b]  # the numbering is topological
 
 
 def test_exploration_limits_have_one_knob():

@@ -135,10 +135,16 @@ def test_malformed_lines():
 
 
 def test_document_must_describe_valid_net():
-    # two disconnected components
+    # two disconnected components: the error names the line declaring b,
+    # the first node it lists as unreachable
     text = "net x\nplace a\nplace b\ntrans t\ntrans u\narc a -> t\narc b -> u\n"
-    with pytest.raises(ParseError):
-        parse_net(text)
+    err = _parse_error(text)
+    assert err.line == 3 and "['b', 'u']" in str(err)
+    # a commented-out declaration does not count: b is declared on line 8
+    text = "# b\nnet x\nplace a # place b\ntrans t\narc a -> t\n\ntrans u\nplace b\n"
+    assert _parse_error(text).line == 8
+    # a document that lists no node keeps line 1
+    assert _parse_error("\n\nnet x\nplace a\n").line == 1
 
 
 def test_comments_and_blank_lines_ignored():
