@@ -198,9 +198,12 @@ def _cmd_reach(args, limits) -> int:
 
 
 def _cmd_suite(args, limits) -> int:
-    nets = corpus.suite_nets(random_count=args.random, seed=args.seed)
+    # the graphs explored before the suite, by (net, m0); suite_nets probes
+    # under the default cap, so only a suite under that cap may read them
+    graphs = {}
+    nets = corpus.suite_nets(random_count=args.random, seed=args.seed,
+                             graphs=graphs if limits == ExplorationLimits() else None)
     expectation_rows = []
-    graphs = {}  # the reference nets' graphs, which the suite reads again
     for ref in corpus.all_reference_nets():
         rg = graphs[ref.net, ref.initial] = explore(ref.net, ref.initial, limits)
         for prop, expected, got, ok in corpus.verify_reference_net(ref, limits, rg):

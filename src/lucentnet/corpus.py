@@ -12,6 +12,7 @@ silently poison the tests built on top.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -467,20 +468,30 @@ class SuiteReport:
 def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
                       limits: Optional[ExplorationLimits] = None,
                       graphs: Optional[Dict[tuple, ReachabilityGraph]] = None) -> SuiteReport:
-    """Evaluate every documented implication on every net, reading the
-    exploration of ``(net, m0)`` from ``graphs`` where it was made already.
+    """Evaluate every documented implication on every net, exploring each
+    distinct ``(net, m0)`` once.
+
+    ``graphs`` maps ``(net, m0)`` to explorations under ``limits`` made
+    already; each is popped once its last net has read it.  The graph of a
+    ring that is also a later suite net (a ring variant of
+    :func:`suite_nets`, which follows its source net) is kept there until
+    then, so at most one such graph is alive at a time.
 
     A check whose hypotheses do not hold (or whose exploration was
     truncated) counts as a skip, so vacuous runs stay visible; any failed
     conclusion is an anomaly with full witness detail and fails the suite.
     """
     report = SuiteReport(nets=len(nets))
+    graphs = {} if graphs is None else graphs
+    pending = Counter((net, m0) for _, net, m0 in nets)  # suite nets not yet checked
     for name, net, m0 in nets:
-        _run_net_checks(report, name, net, m0, limits, (graphs or {}).get((net, m0)))
+        pending[net, m0] -= 1
+        rg = graphs.get((net, m0)) if pending[net, m0] else graphs.pop((net, m0), None)
+        _run_net_checks(report, name, net, m0, limits, rg, graphs, pending)
     return report
 
 
-def _run_net_checks(report, name, net, m0, limits, rg=None):
+def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
     rg = rg or explore(net, m0, limits)
     fc = is_free_choice(net)
     proper = is_proper(net)
@@ -504,6 +515,8 @@ def _run_net_checks(report, name, net, m0, limits, rg=None):
                 rg, d.cluster, ring, graph, d.direct, ring_v.value))
             if d.is_home:
                 struct_results.append(homecluster._judge_structure(d.cluster, ring))
+        if graph is not None and pending[ring.net, m0]:
+            graphs.setdefault((ring.net, m0), graph)
         del ring, graph  # two live ring graphs would double peak memory
     agree = "pass" if fc and m0.is_safe() and rg.complete else "skip"
     report.record("detection-methods-agree", "fail" if conflict else agree, name, conflict)
@@ -639,15 +652,18 @@ def _tiny_cyclic_nets() -> List[Tuple[str, PetriNet, Marking]]:
 
 
 def suite_nets(random_count: int = 0, seed: int = 0,
-               limits: Optional[ExplorationLimits] = None
+               limits: Optional[ExplorationLimits] = None,
+               graphs: Optional[Dict[tuple, ReachabilityGraph]] = None
                ) -> List[Tuple[str, PetriNet, Marking]]:
     """The reference nets, two minimal cyclic nets, and ``random_count``
     generated ones.
 
     Every generated net found to have a home cluster contributes its
-    short-circuited variant as well: those are strongly connected
-    free-choice nets with a home cluster, the hypothesis class that random
-    wiring alone almost never hits.
+    short-circuited variant as well, right after it: those are strongly
+    connected free-choice nets with a home cluster, the hypothesis class
+    that random wiring alone almost never hits.  With ``graphs``, the
+    probe's exploration of each net (under ``limits``) is recorded there
+    under ``(net, m0)``, for :func:`run_theorem_suite` to read.
     """
     profiles = (
         ("sc", dict(force_strongly_connected=True)),
@@ -671,7 +687,10 @@ def suite_nets(random_count: int = 0, seed: int = 0,
         name = f"rand-{seed + i}-{label}"
         out.append((name, net, m0))
         if label != "sc" and is_proper(net) and m0.is_safe():
-            hc = homecluster.find_home_clusters(net, m0, limits, method="direct")
+            rg = explore(net, m0, limits)
+            if graphs is not None:
+                graphs[net, m0] = rg
+            hc = homecluster.find_home_clusters(net, m0, limits, method="direct", rg=rg)
             if hc.home_clusters:
                 try:
                     ring = homecluster.short_circuit(net, hc.home_clusters[0], m0)

@@ -17,6 +17,10 @@ explores a short-circuited net only when that exploration cannot decide.
 always build and explore it from scratch: they are the oracles the fast
 reading is tested against.  The theorem suite explores every
 short-circuited net too, so each suite run cross-checks the fast verdicts.
+
+A short-circuited net differs from the cleaned net by tC alone, so it is
+derived from it (:meth:`PetriNet.with_transition`); cleaning that drops
+nothing returns the net itself.
 """
 
 from __future__ import annotations
@@ -76,12 +80,15 @@ def clean(net: PetriNet, m0: Marking) -> PetriNet:
     Keeping a graph-reachable transition after one of its input places was
     dropped would shrink its preset and *add* behavior, so the restriction
     is to :func:`support_closure`, where every kept transition keeps its
-    whole preset.  Raises when the leftovers no longer form a valid net.
+    whole preset.  Returns ``net`` itself when nothing is dropped; raises
+    when the leftovers no longer form a valid net.
     """
     return _restrict(net, support_closure(net, m0))
 
 
 def _restrict(net: PetriNet, keep: FrozenSet[str]) -> PetriNet:
+    if keep.issuperset(net.nodes()):
+        return net
     places = [p for p in net.places if p in keep]
     transitions = [t for t in net.transitions if t in keep]
     arcs = [(a, b) for a, b in sorted(net.flow) if a in keep and b in keep]
@@ -101,8 +108,7 @@ class ShortCircuitResult:
 def _fresh_transition_name(net: PetriNet) -> str:
     name = "tC"
     k = 0
-    taken = set(net.nodes())
-    while name in taken:
+    while net.has_node(name):
         k += 1
         name = f"tC{k}"
     return name
@@ -110,12 +116,10 @@ def _fresh_transition_name(net: PetriNet) -> str:
 
 def _attach_ring(cleaned: PetriNet, cluster: Cluster, m0: Marking,
                  removed: Tuple[str, ...]) -> ShortCircuitResult:
+    """The ring of ``cluster``: ``cleaned`` plus tC, derived from it in one step."""
     fresh = _fresh_transition_name(cleaned)
-    arcs = sorted(cleaned.flow)
-    arcs += [(p, fresh) for p in cluster.places]
-    arcs += [(fresh, p) for p in m0.support()]
     try:
-        built = PetriNet(cleaned.places, cleaned.transitions + (fresh,), arcs)
+        built = cleaned.with_transition(fresh, cluster.places, m0.support())
     except NetStructureError as exc:
         # a cluster without places on an empty initial marking: tC has no arcs
         raise CleanedNetInvalid(f"short-circuited net is not a valid net: {exc}") from exc
@@ -223,7 +227,8 @@ def find_home_clusters(net: PetriNet, m0: Marking,
 
 def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     """Clean the net once, then yield ``(detail, ring, ring verdict, ring
-    graph)`` for each cluster in turn.
+    graph)`` for each cluster in turn.  Each ring is the cleaned net plus
+    tC, derived from it (:func:`_attach_ring`).
 
     Short-circuit verdicts are read off the base graph ``rg`` whenever
     :func:`_ring_reader` can; a ring is built and explored only where it
@@ -432,6 +437,6 @@ def _judge_equivalence(rg, cluster, sc, graph, direct, live_and_bounded) -> Chec
               f"live_and_bounded={live_and_bounded}")
     if any(v != values[0] for v in values):
         return CheckResult(name, True, False, detail)
-    if values[0] and rg.complete and graph.complete and set(rg.states) != set(graph.states):
+    if values[0] and rg.complete and graph.complete and not rg.same_states(graph):
         return CheckResult(name, True, False, detail + " reachable_sets_differ")
     return CheckResult(name, True, True, detail)

@@ -203,6 +203,42 @@ class PetriNet:
         self._clusters: Optional[Tuple[Cluster, ...]] = None
         self._cluster_of: Optional[Dict[str, Cluster]] = None
 
+    def with_transition(self, fresh: str, inputs: Sequence[str],
+                        outputs: Sequence[str]) -> "PetriNet":
+        """This net plus a transition ``fresh`` with arcs from the places
+        ``inputs`` and to the places ``outputs``, derived from this one.
+
+        Only what the new node can break is checked (a fresh valid name,
+        arcs to places, at least one arc); on a fault the full build runs
+        and raises its :class:`NetStructureError`.  ``fresh`` joins the
+        clusters of its input places, or stands alone when it has none.
+        """
+        arcs = [(p, fresh) for p in inputs] + [(fresh, p) for p in outputs]
+        flow = self.flow.union(arcs)
+        if not (arcs and isinstance(fresh, str) and _IDENT.match(fresh)
+                and fresh not in self._pre and len(flow) == len(self.flow) + len(arcs)
+                and self._place_set.issuperset(chain(inputs, outputs))):
+            return PetriNet(self.places, self.transitions + (fresh,), sorted(self.flow) + arcs)
+        net = PetriNet.__new__(PetriNet)
+        net.places, net.flow, net._place_set = self.places, flow, self._place_set
+        net.transitions = tuple(sorted(self.transitions + (fresh,)))
+        net._transition_set = self._transition_set | {fresh}
+        net._nodes = nodes = self.places + net.transitions
+        ins, outs = frozenset(inputs), frozenset(outputs)
+        net._pre = pre = {x: self._pre.get(x, ins) for x in nodes}  # in node order
+        net._post = post = {x: self._post.get(x, outs) for x in nodes}
+        for p in inputs:
+            post[p] = post[p] | {fresh}
+        for p in outputs:
+            pre[p] = pre[p] | {fresh}
+        net._compiled = None
+        joined = {self.cluster_of(p) for p in inputs}
+        grown = Cluster(tuple(sorted(chain.from_iterable(c.places for c in joined))),
+                        tuple(sorted(chain([fresh], *(c.transitions for c in joined)))))
+        net._set_clusters(sorted([c for c in self.clusters() if c not in joined] + [grown],
+                                 key=Cluster.sort_key))
+        return net
+
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -281,13 +317,12 @@ class PetriNet:
                 ps = tuple(sorted(m for m in members if m in self._place_set))
                 ts = tuple(sorted(m for m in members if m not in self._place_set))
                 clusters.append(Cluster(ps, ts))
-            clusters.sort(key=Cluster.sort_key)
-            self._clusters = tuple(clusters)
-            self._cluster_of = {}
-            for c in self._clusters:
-                for x in c.places + c.transitions:
-                    self._cluster_of[x] = c
+            self._set_clusters(sorted(clusters, key=Cluster.sort_key))
         return self._clusters
+
+    def _set_clusters(self, clusters: Sequence[Cluster]):
+        self._clusters = tuple(clusters)
+        self._cluster_of = {x: c for c in self._clusters for x in c.places + c.transitions}
 
     def cluster_of(self, node: str) -> Cluster:
         """The cluster containing ``node``."""
@@ -302,8 +337,10 @@ class PetriNet:
 
 
 def mrk(cluster: Cluster) -> Marking:
-    """The smallest marking that fully enables a cluster: one token per place."""
-    return Marking.of(*cluster.places)
+    """The smallest marking that fully enables a cluster: one token per
+    place.  A cluster's places are sorted and distinct, so its items are
+    built directly."""
+    return Marking(tuple((p, 1) for p in cluster.places))
 
 
 # -- firing semantics -----------------------------------------------------

@@ -42,7 +42,7 @@ from operator import or_
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
-from .net import Marking, PetriNet, compiled, enabled_transitions, mrk
+from .net import Marking, PetriNet, compiled, mrk
 
 COMPLETE = "complete"
 TRUNCATED = "truncated"
@@ -142,6 +142,14 @@ class ReachabilityGraph:
     def contains(self, m: Marking) -> bool:
         return self.index_of(m) is not None
 
+    def same_states(self, other: "ReachabilityGraph") -> bool:
+        """Both graphs hold the same markings: compared packed when the two
+        layouts agree on places, width and ``extra``, else decoded."""
+        a, b = self._layout, other._layout
+        if (a.places, a.width, a.extra) == (b.places, b.width, b.extra):
+            return self._index.keys() == other._index.keys()
+        return set(self.states) == set(other.states)
+
     def covers(self, i: int, j: int) -> bool:
         """Every count of state ``i`` is at least state ``j``'s."""
         g = self._layout.guard
@@ -165,18 +173,27 @@ class ReachabilityGraph:
 
     def mask(self, i: int) -> int:
         """Enabled set of a state as a mask: the one the search wrote when
-        it expanded the state, otherwise computed from the net once."""
+        it expanded the state, otherwise computed once from the packed
+        state by the search's own test."""
         if i < self._expanded:
             return self._masks[i]
         mask = self._scanned.get(i)
-        if mask is None:
-            mask = self._scanned[i] = sum(map(self._bit.__getitem__, enabled_transitions(
-                self.net, self.marking(i))))
+        if mask is None:  # as _search tests the state
+            lay, form, s = self._layout, compiled(self.net), self._packed[i]
+            marked = rest = ((s | lay.guard) - lay.ones) & lay.guard
+            candidates, mask = form.always, 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                candidates |= form.outs[bit.bit_length() // lay.field - 1]
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
+                need = lay.need[bit.bit_length() - 1]
+                if marked & need == need:
+                    mask |= bit
+            self._scanned[i] = mask
         return mask
-
-    @cached_property
-    def _bit(self) -> Dict[str, int]:
-        return {t: 1 << k for k, t in enumerate(self.net.transitions)}
 
     def masks(self) -> Iterator[int]:
         """The enabled mask of every state, in state order, scanned lazily."""

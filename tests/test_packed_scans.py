@@ -180,3 +180,50 @@ def test_conflict_pairs_decode_only_the_pairs_found(monkeypatch, n3):
     assert decoded == []
     pairs = find_conflict_pairs(n3.net, n3.initial)
     assert pairs and len(decoded) == 2 * len(pairs)
+
+
+def test_same_states_matches_decoded_sets():
+    # each suite net against the ring of each of its clusters, as the
+    # detection equivalence compares them: rings whose cleaning dropped
+    # places, fields widened past 1 on one side or both, and truncated or
+    # unbounded runs that stop on different sets
+    from lucentnet.homecluster import _cluster_walk
+    limits = ExplorationLimits(max_states=2000)
+    kinds = set()
+    for _, net, m0 in suite_nets(random_count=200, seed=5):
+        rg = explore(net, m0, limits)
+        for _, _, _, graph in _cluster_walk(net, m0, limits, "both", rg, rings=True):
+            if graph is None:
+                continue
+            a, b = rg._layout, graph._layout
+            same = set(rg.states) == set(graph.states)
+            assert rg.same_states(graph) is same and graph.same_states(rg) is same
+            kinds.add((a.places == b.places, a.width == b.width, same))
+            kinds.add(("widened", max(a.width, b.width) > 1))
+    assert kinds >= {(True, True, True), (True, True, False), (False, True, True),
+                     (False, True, False), (True, False, False), ("widened", True)}
+    # one cycle from two of its states: from {a} the fields widen 1 -> 2 -> 4
+    # as p fills up to 4 tokens, from {e, p^4} they start at 3 bits
+    places = ["a", "b", "c", "d", "e", "g", "h", "i", "p"]
+    fill = ["a", "b", "c", "d", "e"]
+    arcs = [arc for k in range(4) for arc in ((fill[k], f"t{k}"), (f"t{k}", fill[k + 1]),
+                                             (f"t{k}", "p"))]
+    drain = ["e", "g", "h", "i", "a"]
+    arcs += [arc for k in range(4) for arc in ((drain[k], f"u{k}"), ("p", f"u{k}"),
+                                              (f"u{k}", drain[k + 1]))]
+    net = PetriNet(places, [f"t{k}" for k in range(4)] + [f"u{k}" for k in range(4)], arcs)
+    low = explore(net, Marking.of("a"))
+    high = explore(net, Marking.of("e", "p", "p", "p", "p"))
+    assert (low._layout.width, high._layout.width) == (4, 3) and len(low.states) == 8
+    assert low.same_states(high) and high.same_states(low)
+
+
+def test_paper_suite_decodes_few_states(monkeypatch, capsys):
+    # 269 decodes before the detection equivalence compared packed states
+    decoded = []
+    decode = reachability._Layout.marking
+    monkeypatch.setattr(reachability._Layout, "marking",
+                        lambda layout, s: decoded.append(s) or decode(layout, s))
+    assert main(["paper-suite", "--random", "30", "--seed", "123456", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert 0 < len(decoded) <= 160

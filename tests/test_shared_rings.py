@@ -207,12 +207,45 @@ def test_shared_rings_match_public_checks(monkeypatch, limits):
 
 
 
-def test_paper_suite_explores_each_reference_net_once(explorations, capsys):
-    # 175 before the expectation check handed the suite its graphs; the 22
-    # random nets that suite_nets probes and the 9 ring variants it adds are
-    # still explored twice
+def test_paper_suite_explores_each_distinct_net_once(explorations, capsys):
+    # 175 explorations before the expectation check handed the suite its
+    # graphs, 170 before suite_nets recorded its probes and the suite kept
+    # the rings that are also suite nets
+    nets = suite_nets(random_count=30, seed=123456)
+    explorations.clear()
     assert main(["paper-suite", "--random", "30", "--seed", "123456", "--format", "json"]) == 0
     capsys.readouterr()
     for ref in all_reference_nets():
         assert explorations[_key(ref.net, ref.initial)] == 1, ref.ident
-    assert sum(explorations.values()) == 170
+    assert all(explorations[_key(net, m0)] == 1 for _, net, m0 in nets)
+    assert set(explorations.values()) == {1}
+    assert len(explorations) == 139
+
+
+def test_paper_suite_under_another_cap_explores_again_only_the_probed_nets(explorations, capsys):
+    # suite_nets probes under the default cap, so under another cap the
+    # suite explores the probed nets again, and only those
+    probed = {_key(net, m0) for name, net, m0 in suite_nets(random_count=30, seed=123456)
+              if name.startswith("rand-") and not name.endswith(("-sc", "-ring"))
+              and is_proper(net) and m0.is_safe()}
+    explorations.clear()
+    main(["paper-suite", "--random", "30", "--seed", "123456", "--max-states", "50"])
+    capsys.readouterr()
+    assert {key for key, n in explorations.items() if n > 1} == probed
+    assert all(explorations[key] == 2 for key in probed)
+
+
+def test_suite_keeps_only_the_graphs_a_later_net_reads(monkeypatch):
+    # a ring's graph stays only until its ring variant, the next suite net,
+    # reads it; every graph handed in is popped once read
+    from lucentnet import corpus
+    nets = suite_nets(random_count=30, seed=123456)
+    variants = sum(name.endswith("-ring") for name, _, _ in nets)
+    graphs = {(net, m0): explore(net, m0) for _, net, m0 in nets[:3]}
+    held = []
+    check = corpus._run_net_checks
+    monkeypatch.setattr(corpus, "_run_net_checks",
+                        lambda *args: check(*args) or held.append(len(graphs)))
+    run_theorem_suite(nets, graphs=graphs)
+    assert graphs == {}
+    assert held[:3] == [2, 1, 0] and max(held[3:]) == 1 and held.count(1) == variants + 1

@@ -233,27 +233,33 @@ def test_graph_enabled_sets_match_net_scan():
 
 
 def test_graph_scans_only_unexpanded_states_once(n3, monkeypatch):
-    from lucentnet import reachability
-    scanned = []
-    scan = reachability.enabled_transitions
-
-    def counting(net, m):
-        scanned.append(m)
-        return scan(net, m)
-
-    monkeypatch.setattr(reachability, "enabled_transitions", counting)
+    from lucentnet import enabled_transitions, reachability
+    # a start that later puts two tokens on c, so the fields widen to 2
+    widening = PetriNet(["a", "b", "c"], ["t1", "t2", "t3"],
+                        [("a", "t1"), ("t1", "b"), ("t1", "c"),
+                         ("b", "t2"), ("t2", "c"), ("c", "t3")])
     full = explore(n3.net, n3.initial)
-    for _ in range(2):
-        for i in range(len(full.states)):
-            full.enabled(i)
-    assert scanned == []
     cut = explore(n3.net, n3.initial, ExplorationLimits(max_states=3))
-    for _ in range(2):
-        for i in range(len(cut.states)):
-            cut.enabled(i)
-    # the first state is expanded; the second stopped mid-way; the third
-    # was never expanded
-    assert scanned == [cut.states[1], cut.states[2]]
+    graphs = [full, cut, explore(*unbounded_toy()),
+              explore(widening, Marking.of("a"), ExplorationLimits(max_states=3)),
+              explore(n3.net, n3.initial + Marking.of("zz", "zz"), ExplorationLimits(max_states=4))]
+    assert graphs[3]._layout.width == 2 and graphs[4]._layout.extra
+    # a state the search did not finish expanding is scanned on its packed
+    # int, once: count the scans by the net form each one reads
+    scans = []
+    form = reachability.compiled
+    monkeypatch.setattr(reachability, "compiled", lambda net: scans.append(net) or form(net))
+    counts = []
+    for rg in graphs:
+        scans.clear()
+        for _ in range(2):
+            for i, m in enumerate(rg.states):
+                assert rg.enabled(i) == enabled_transitions(rg.net, m), (rg.net, m)
+        counts.append(len(scans))
+    # the first state of cut is expanded; the second stopped mid-way; the
+    # third was never expanded
+    assert counts[:2] == [0, 2] and cut._expanded == 1
+    assert counts == [len(rg.states) - rg._expanded for rg in graphs]
 
 
 def kosaraju(succ):
