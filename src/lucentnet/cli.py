@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -50,10 +49,6 @@ def _load(path: str):
     doc = parse_net(text)
     net, m0 = doc.to_net()  # built once already, to validate the document
     return doc.name, net, m0
-
-
-def _markings_json(markings):
-    return [list(m.as_strings()) for m in markings]
 
 
 def main(argv=None) -> int:
@@ -121,11 +116,11 @@ def _cmd_lucency(args, limits) -> int:
     if args.format == "json":
         payload = {"net": name, "lucent": verdict.lucent}
         if verdict.witness:
-            payload["witness"] = _markings_json(verdict.witness)
+            payload["witness"] = report._witness_pair(verdict.witness)
             payload["footprint"] = list(verdict.footprint or ())
         if verdict.unbounded:
             payload["unbounded_witness"] = report._unbounded(verdict.unbounded)
-        print(json.dumps(payload, indent=2))
+        print(report.dumps(payload))
     else:
         if verdict.lucent is True:
             print(f"{name}: lucent")
@@ -154,7 +149,7 @@ def _cmd_home_clusters(args, limits) -> int:
                          "direct": d.direct, "short_circuit": d.short_circuit,
                          "note": d.note} for d in hc.details],
         }
-        print(json.dumps(payload, indent=2))
+        print(report.dumps(payload))
     else:
         if hc.home_clusters:
             print(f"{name}: home clusters: "
@@ -185,7 +180,7 @@ def _cmd_reach(args, limits) -> int:
         }
         if rg.unbounded_witness:
             payload["unbounded_witness"] = report._unbounded(rg.unbounded_witness)
-        print(json.dumps(payload, indent=2))
+        print(report.dumps(payload))
     else:
         print(f"{name}: {rg.verdict}, {len(rg.states)} states, {len(rg.edges)} edges")
         for i, m in enumerate(rg.states):
@@ -221,7 +216,7 @@ def _cmd_suite(args, limits) -> int:
                        for check, counts in sorted(suite.counts.items())},
             "anomalies": [list(a) for a in suite.anomalies],
         }
-        print(json.dumps(payload, indent=2))
+        print(report.dumps(payload))
     else:
         print(f"{suite.nets} nets analyzed "
               f"({len(expectation_rows)} reference expectations checked)")

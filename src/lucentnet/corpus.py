@@ -11,6 +11,7 @@ silently poison the tests built on top.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -254,6 +255,7 @@ def reference_net(ident: str) -> ReferenceNet:
     return _BUILDERS[key]()
 
 
+@functools.cache  # the nets are immutable: build and check them once
 def all_reference_nets() -> Tuple[ReferenceNet, ...]:
     return tuple(_BUILDERS[k]() for k in sorted(_BUILDERS))
 

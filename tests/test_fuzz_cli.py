@@ -1,6 +1,7 @@
 """Generated net documents through every file subcommand: a document that
 parses gets an answer (exit 0, 1 or 3), one that does not an input error
-(exit 2), and neither a traceback; serializing a parsed document is a
+(exit 2), and neither a traceback; every JSON answer is exactly what
+``json.dumps(indent=2)`` writes; serializing a parsed document is a
 fixpoint.  The documents are small and include transitions with an empty
 preset or postset and nets with no initial token.  Text outside the
 grammar comes from token-level mutations of these documents and from bytes
@@ -8,6 +9,7 @@ that are not UTF-8."""
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -89,8 +91,13 @@ def expected_codes(data: bytes):
 
 
 def run_cli(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if argv[-1] == "json" and code in (0, 1, 3):
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", (argv, text)
+    return code
 
 
 def run_file_commands(text, fmt):
