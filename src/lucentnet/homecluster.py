@@ -6,9 +6,9 @@ are provided: the direct one reads home markings off the reachability
 graph; the short-circuit one adds a fresh transition consuming Pl(C) and
 reproducing the initial marking, restricts the net to the nodes reachable
 from the initially marked places, and decides liveness + boundedness of
-the result.  For safely marked proper free-choice nets the two provably
-agree, so a disagreement is reported as a hard error, never resolved
-silently.
+the result.  For safely marked proper free-choice nets (the one predicate
+:func:`_short_circuit_applies`) the two provably agree, so a disagreement
+is reported as a hard error, never resolved silently.
 
 :func:`find_home_clusters` reads each short-circuit verdict off the one
 exploration of the net itself (:func:`_ring_reader`), and builds and
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Tuple
 
-from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
+from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError, NodeNotFound,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
 from .lucency import check_lucency
-from .net import (Cluster, Marking, PetriNet, connectivity, is_free_choice,
-                  is_proper, mrk)
+from .net import (Cluster, Marking, PetriNet, _reachable, connectivity,
+                  is_free_choice, is_proper, mrk)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            dead_transitions, explore, is_deadlock_free,
                            is_live, is_live_and_bounded, is_safe)
@@ -41,15 +41,10 @@ from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
 def conn(net: PetriNet, m0: Marking) -> FrozenSet[str]:
     """All nodes on a directed path starting in an initially marked place,
     the marked places included."""
-    seen = set(m0.support())
-    stack = list(seen)
-    while stack:
-        x = stack.pop()
-        for y in net.postset(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
+    try:
+        return frozenset(_reachable(m0.support(), net._post))
+    except KeyError as exc:  # a marked place outside the net
+        raise NodeNotFound(f"unknown node {exc.args[0]!r}") from None
 
 
 def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
@@ -138,6 +133,11 @@ def short_circuit(net: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircuitR
             f"cluster does not survive cleaning; dropped nodes: {missing}")
     removed = tuple(sorted(set(net.nodes()) - kept))
     return _attach_ring(_restrict(net, kept), cluster, m0, removed)
+
+
+def _short_circuit_applies(net: PetriNet, m0: Marking) -> bool:
+    """The short-circuit hypothesis: a safely marked proper free-choice net."""
+    return m0.is_safe() and is_proper(net) and is_free_choice(net)
 
 
 def extended_cluster(cluster: Cluster, fresh_transition: str) -> Cluster:
@@ -241,7 +241,7 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     want_direct = method in ("direct", "both")
     want_sc = method in ("short-circuit", "both")
     cleaned = kept = removed = read = None
-    if want_sc and is_free_choice(net) and is_proper(net) and m0.is_safe():
+    if want_sc and _short_circuit_applies(net, m0):
         try:
             cleaned = clean(net, m0)  # shared by every cluster's ring
             kept = set(cleaned.nodes())
@@ -384,7 +384,7 @@ def check_short_circuit_structure(net: PetriNet, cluster: Cluster, m0: Marking
     """The short-circuited cleaned net must be strongly connected and
     free-choice, and the extended cluster must be one of its clusters."""
     name = "short-circuit-structure"
-    if not (is_free_choice(net) and is_proper(net) and m0.is_safe()):
+    if not _short_circuit_applies(net, m0):
         return CheckResult(name, False, None, "needs a safely marked proper free-choice net")
     try:
         sc = short_circuit(net, cluster, m0)
@@ -409,7 +409,7 @@ def check_detection_equivalence(net: PetriNet, m0: Marking, cluster: Cluster,
     plus, for actual home clusters, equality of the reachable marking sets
     of the original and the short-circuited net."""
     name = "detection-equivalence"
-    if not (is_free_choice(net) and is_proper(net) and m0.is_safe()):
+    if not _short_circuit_applies(net, m0):
         return CheckResult(name, False, None, "needs a safely marked proper free-choice net")
     try:
         sc = short_circuit(net, cluster, m0)

@@ -190,7 +190,7 @@ class PetriNet:
             if (src in place_set) == (dst in place_set):
                 raise NetStructureError(f"arc {src} -> {dst} must connect a place and a transition")
 
-        reached = _reachable(nodes[0], pre, post)
+        reached = _reachable([nodes[0]], pre, post)
         if len(reached) != len(nodes):
             raise NetStructureError(f"net is not weakly connected; unreachable from {nodes[0]}: "
                                     f"{sorted(set(nodes) - reached)}")
@@ -502,10 +502,10 @@ def is_proper(net: PetriNet) -> bool:
     return all(net.preset(t) and net.postset(t) for t in net.transitions)
 
 
-def _reachable(start: str, *steps: Mapping[str, Iterable[str]]) -> set:
-    """The nodes reachable from ``start`` along any of the adjacency maps."""
+def _reachable(starts: Iterable[str], *steps: Mapping[str, Iterable[str]]) -> set:
+    """The nodes reachable from ``starts`` along any of the adjacency maps."""
     seen = set()
-    stack = [start]
+    stack = list(starts)
     while stack:
         x = stack.pop()
         if x not in seen:
@@ -523,7 +523,7 @@ def connectivity(net: PetriNet) -> str:
     """
     start = net.nodes()[0]
     n = len(net.nodes())
-    if len(_reachable(start, net._post)) == n and len(_reachable(start, net._pre)) == n:
+    if len(_reachable([start], net._post)) == n and len(_reachable([start], net._pre)) == n:
         return "strong"
     return "weak"
 

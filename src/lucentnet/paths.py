@@ -20,12 +20,14 @@ time independent of the sequence's length, where replaying its prefix
 took O(n) firings.  A variant shares its first i - 1 positions with the
 sequence it was rewritten from, so it is replayed from the marking before
 i only, checking every step to the end, and carries the trace it gets
-into the next round of moves.
+into the next round of moves.  :func:`expedited_member` and
+:func:`verify_expedite_safe` read one closure search, :func:`_variants`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (BadIndices, InvalidPath, NodeNotFound, NotEnabled,
@@ -165,8 +167,11 @@ def find_rooted_path(net: PetriNet, m0: Marking, place: str, cluster,
     Breadth-first over the net graph with lexicographic expansion, then
     disentangled.  ``no-graph-path`` for a non-dead place is flagged as an
     anomaly: in a proper free-choice net with a home cluster such a path
-    must exist.
+    must exist.  The start must be a place of the net.
     """
+    if not net.is_place(place):
+        net.postset(place)  # NodeNotFound for a node outside the net
+        raise InvalidPath("path must start at a place")
     rg = rg or explore(net, m0, limits)
     if not any(place in m for m in rg.states):
         if not rg.complete:
@@ -204,8 +209,9 @@ def verify_path_safety(net: PetriNet, m0: Marking, path,
                        limits: Optional[ExplorationLimits] = None,
                        rg: Optional[ReachabilityGraph] = None) -> Verdict:
     """All the path's places together hold at most one token in every
-    reachable marking; witness = first violating marking."""
-    nodes = path.nodes if isinstance(path, Path) else tuple(path)
+    reachable marking; witness = first violating marking.  A raw node
+    sequence must be a path of the net (:meth:`Path.of`)."""
+    nodes = (path if isinstance(path, Path) else Path.of(net, path)).nodes
     places = {x for x in nodes if net.is_place(x)}
     rg = rg or explore(net, m0, limits)
     for m in rg.states:
@@ -315,6 +321,23 @@ def _closure_neighbors(net: PetriNet, seq: Tuple[str, ...], trace: List[dict]):
                 yield (i, j), expedite(seq, i, j)
 
 
+def _variants(net: PetriNet, seq: Tuple[str, ...], trace: List[dict]):
+    """Every expedited variant of ``seq`` once, breadth-first over single
+    moves in :func:`_closure_neighbors` order, with its trace replayed from
+    where it diverges (see :func:`_replay`)."""
+    seen = {seq}
+    frontier = [(seq, trace)]
+    while frontier:
+        nxt = []
+        for s, trace in frontier:
+            for (i, _), rewritten in _closure_neighbors(net, s, trace):
+                if rewritten not in seen:
+                    seen.add(rewritten)
+                    nxt.append((rewritten, _replay(net, trace, rewritten, i - 1)))
+                    yield nxt[-1]
+        frontier = nxt
+
+
 def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
                      candidate: Sequence[str],
                      budget: int = 10_000) -> Verdict:
@@ -337,23 +360,11 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
         return Verdict(False, reason="not a permutation of the base")
     if not sequence_enabled(net, m, candidate):
         return Verdict(False, reason="candidate is not enabled")
-    seen = {base}
-    frontier = [(base, trace)]
-    spent = 0
-    while frontier:
-        nxt = []
-        for seq, trace in frontier:
-            for (i, _), rewritten in _closure_neighbors(net, seq, trace):
-                if rewritten in seen:
-                    continue
-                if rewritten == candidate:
-                    return Verdict(True)
-                seen.add(rewritten)
-                nxt.append((rewritten, _replay(net, trace, rewritten, i - 1)))
-                spent += 1
-                if spent >= budget:
-                    return Verdict(None, reason="search budget exceeded")
-        frontier = nxt
+    for spent, (variant, _) in enumerate(_variants(net, base, trace), 1):
+        if variant == candidate:
+            return Verdict(True)
+        if spent >= budget:
+            return Verdict(None, reason="search budget exceeded")
     return Verdict(False, reason="closure exhausted")
 
 
@@ -416,27 +427,11 @@ def verify_expedite_safe(net: PetriNet, m: Marking, seq: Sequence[str],
     if len(trace) <= len(seq):
         k = len(trace) - 1
         raise NotEnabledAt(k, seq[k])
-    expected = trace[-1]
-    seen = {seq}
-    frontier = [(seq, trace)]
     checked = 0
-    while frontier and checked < samples:
-        nxt = []
-        for s, trace in frontier:
-            for (i, _), rewritten in _closure_neighbors(net, s, trace):
-                if rewritten in seen:
-                    continue
-                seen.add(rewritten)
-                replayed = _replay(net, trace, rewritten, i - 1)
-                if len(replayed) <= len(rewritten):
-                    return Verdict(False, witness=rewritten, reason="variant not enabled")
-                if replayed[-1] != expected:
-                    return Verdict(False, witness=rewritten, reason="final marking differs")
-                checked += 1
-                nxt.append((rewritten, replayed))
-                if checked >= samples:
-                    break
-            if checked >= samples:
-                break
-        frontier = nxt
+    for variant, replayed in islice(_variants(net, seq, trace), max(samples, 0)):
+        if len(replayed) <= len(variant):
+            return Verdict(False, witness=variant, reason="variant not enabled")
+        if replayed[-1] != trace[-1]:
+            return Verdict(False, witness=variant, reason="final marking differs")
+        checked += 1
     return Verdict(True, witness=checked)

@@ -180,18 +180,9 @@ class ReachabilityGraph:
         mask = self._scanned.get(i)
         if mask is None:  # as _search tests the state
             lay, form, s = self._layout, compiled(self.net), self._packed[i]
-            marked = rest = ((s | lay.guard) - lay.ones) & lay.guard
-            candidates, mask = form.always, 0
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                candidates |= form.outs[bit.bit_length() // lay.field - 1]
-            while candidates:
-                bit = candidates & -candidates
-                candidates ^= bit
-                need = lay.need[bit.bit_length() - 1]
-                if marked & need == need:
-                    mask |= bit
+            marked = ((s | lay.guard) - lay.ones) & lay.guard
+            candidates = reduce(or_, map(form.outs.__getitem__, lay.marked(s)), form.always)
+            mask = sum(1 << t for t in _bits(candidates) if marked & lay.need[t] == lay.need[t])
             self._scanned[i] = mask
         return mask
 

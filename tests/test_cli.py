@@ -127,6 +127,22 @@ def test_paper_suite_json(capsys):
     assert '"anomalies": []' in out
 
 
+@pytest.mark.parametrize("cap", range(1, 12))
+def test_paper_suite_under_a_small_cap_is_undecided(cap, capsys):
+    # n4, the largest reference net, has 11 states: below that the cap
+    # leaves reference expectations undecided, which is no anomaly
+    code = 3 if cap <= 10 else 0
+    assert main(["paper-suite", "--max-states", str(cap)]) == code
+    out, err = capsys.readouterr()
+    assert not err.startswith("error:")
+    assert out.splitlines()[-1] == ("result: ok" if code == 0
+                                    else "result: undecided (exploration truncated)")
+    assert main(["paper-suite", "--max-states", str(cap), "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    assert not err.startswith("error:")
+    assert json.loads(out)["anomalies"] == []
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_states_must_be_positive(value, capsys):
     with pytest.raises(SystemExit) as exc:

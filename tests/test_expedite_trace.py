@@ -38,7 +38,7 @@ def assert_same(net, m0, walk, deep=True):
     for j in range(2, n + 1):
         for i in range(1, j):
             assert can_expedite(net, m0, walk, i, j) == ((i, j) in legal)
-    for samples in (5, 50) if deep else (5,):
+    for samples in (0, 1, 5, 50) if deep else (0, 1, 5):
         assert (paths.verify_expedite_safe(net, m0, walk, samples)
                 == expedite_oracle.verify_expedite_safe(net, m0, walk, samples))
 
@@ -114,7 +114,7 @@ def test_failing_branch_matches_oracle(monkeypatch):
     nets += [(ref.net, ref.initial) for ref in all_reference_nets()]
     for net, m0 in nets:
         for walk in walks(net, m0, repr(sorted(net.flow)), count=3):
-            for samples in (5, 50):
+            for samples in (0, 1, 5, 50):
                 got = paths.verify_expedite_safe(net, m0, walk, samples)
                 want = expedite_oracle.verify_expedite_safe(net, m0, walk, samples,
                                                             neighbors=_careless_oracle)
@@ -140,7 +140,7 @@ def test_expedited_member_matches_oracle(n5):
             shuffled = list(base)
             rng.shuffle(shuffled)
             for candidate in variants[:3] + [tuple(shuffled), base[::-1], base[1:]]:
-                for budget in (3, 10_000):
+                for budget in (1, 3, 10_000):
                     got = paths.expedited_member(net, m0, base, candidate, budget)
                     assert got == expedite_oracle.expedited_member(net, m0, base, candidate,
                                                                    budget)

@@ -1,7 +1,7 @@
 import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected, Marking,
-                       PetriNet, RequiresSafeMarking, check_detection_equivalence,
+                       NodeNotFound, PetriNet, RequiresSafeMarking, check_detection_equivalence,
                        check_short_circuit_structure,
                        check_strongly_connected_home_cluster, classify_dead_end,
                        clean, conn, connectivity, explore, extended_cluster,
@@ -18,6 +18,8 @@ def test_conn(n1, n3):
     net = PetriNet(["p", "q"], ["t1", "t2"],
                    [("p", "t1"), ("t1", "p"), ("q", "t2"), ("t2", "p")])
     assert conn(net, Marking.of("p")) == {"p", "t1"}
+    with pytest.raises(NodeNotFound):  # a marked place outside the net
+        conn(net, Marking.of("zzz"))
 
 
 def test_support_closure_drops_half_reachable_transition():

@@ -13,7 +13,7 @@ from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
                        dead_transitions, document_of, explore,
                        find_conflict_pairs, home_markings,
                        is_deadlock_free, is_fully_transparent, serialize_net,
-                       suite_nets)
+                       suite_nets, verify_conflict_pair)
 from lucentnet import reachability
 from lucentnet.cli import main
 import explore_oracle
@@ -164,6 +164,24 @@ def test_analyze_decodes_only_its_witnesses(monkeypatch, tmp_path, capsys):
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 10_000
     assert 0 < len(decoded) < 10
+
+
+def test_conflict_pair_conditions_agree_on_names_and_masks():
+    # the conditions live twice: on masks in find_conflict_pairs, which needs
+    # a graph, and on names in verify_conflict_pair (and derive_conflict_pair,
+    # which may have none); every state pair must get one answer from both
+    pairs = 0
+    for net, m0 in _nets():
+        rg = explore(net, m0)
+        if not rg.complete or len(rg.states) > 60:
+            continue
+        found = {(p.m1, p.m2) for p in find_conflict_pairs(net, m0, rg=rg)}
+        states = rg.states
+        for i, mi in enumerate(states):
+            for mj in states[i + 1:]:
+                assert verify_conflict_pair(net, rg, mi, mj) == ((mi, mj) in found), (net, mi, mj)
+        pairs += len(found)
+    assert pairs > 50  # 82 conflict pairs among these nets
 
 
 def test_conflict_pairs_decode_only_the_pairs_found(monkeypatch, n3):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from lucentnet import (BadIndices, Expedition, InvalidPath, Marking, NotEnabled,
-                       Path, PetriNet, can_expedite, disentangle, expedite,
+from lucentnet import (BadIndices, Expedition, InvalidPath, Marking, NodeNotFound,
+                       NotEnabled, Path, PetriNet, can_expedite, disentangle, expedite,
                        expedite_split, expedited_member, find_rooted_path,
                        fire_sequence, is_circuit, is_disentangled,
                        is_elementary, is_path, is_q_rooted,
@@ -97,6 +97,17 @@ def test_find_rooted_path_dead_place():
     cluster_p = next(c for c in net.clusters() if "p" in c.places)
     res = find_rooted_path(net, Marking.of("p"), "q", cluster_p)
     assert not res.found and res.reason == "dead-place"
+
+
+def test_paths_reject_nodes_outside_the_net(n1):
+    c4 = next(c for c in n1.net.clusters() if c.places == ("p4",))
+    with pytest.raises(NodeNotFound):
+        find_rooted_path(n1.net, n1.initial, "zzz", c4)
+    with pytest.raises(InvalidPath):  # a transition is no start
+        find_rooted_path(n1.net, n1.initial, "t1", c4)
+    for nodes in (["zzz"], ("p1", "p2"), ()):
+        with pytest.raises(InvalidPath):
+            verify_path_safety(n1.net, n1.initial, nodes)
 
 
 def test_verify_path_safety(n1, n3):
