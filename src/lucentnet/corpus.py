@@ -459,7 +459,11 @@ class SuiteReport:
     counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     anomalies: List[Tuple[str, str, str]] = field(default_factory=list)
 
-    def record(self, check: str, status: str, net_name: str, detail: str = ""):
+    def record(self, net_name: str, check: str, applies: bool,
+               holds: Optional[bool] = None, detail: str = ""):
+        """Count one row: a skip unless the hypothesis ``applies``, else a
+        pass if the conclusion ``holds`` and an anomaly with ``detail`` if not."""
+        status = ("pass" if holds else "fail") if applies else "skip"
         slot = self.counts.setdefault(check, {"pass": 0, "fail": 0, "skip": 0})
         slot[status] += 1
         if status == "fail":
@@ -523,82 +527,62 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
         if graph is not None and pending[ring.net, m0]:
             graphs.setdefault((ring.net, m0), graph)
         del ring, graph  # two live ring graphs would double peak memory
-    agree = "pass" if checked and rg.complete else "skip"
-    report.record("detection-methods-agree", "fail" if conflict else agree, name, conflict)
+    row = functools.partial(report.record, name)
+    row("detection-methods-agree", bool(conflict) or (checked and rg.complete),
+        not conflict, conflict)
 
     # lucency forces a finite, bounded state space
-    if luc.lucent is True:
-        small = rg.complete and len(rg.states) <= 2 ** len(net.transitions)
-        report.record("lucent-implies-bounded", "pass" if small else "fail", name,
-                      f"verdict={rg.verdict} states={len(rg.states)}")
-    else:
-        report.record("lucent-implies-bounded", "skip", name)
-
+    row("lucent-implies-bounded", luc.lucent is True,
+        rg.complete and len(rg.states) <= 2 ** len(net.transitions),
+        f"verdict={rg.verdict} states={len(rg.states)}")
     ft = lucency.is_fully_transparent(net, m0, limits, rg=rg)
-    if ft.value is True:
-        report.record("fully-transparent-implies-lucent",
-                      "pass" if luc.lucent is True else "fail", name,
-                      f"lucent={luc.lucent}")
-    else:
-        report.record("fully-transparent-implies-lucent", "skip", name)
+    row("fully-transparent-implies-lucent", ft.value is True, luc.lucent is True,
+        f"lucent={luc.lucent}")
 
-    hyp = proper and fc and bool(homes)
-    if hyp:
-        report.record("home-cluster-implies-lucent",
-                      "pass" if luc.lucent is True else "fail", name,
-                      _lucency_detail(luc))
-        safe = is_safe(net, m0, limits, rg=rg)
-        report.record("home-cluster-implies-safe",
-                      "pass" if safe.value is True else "fail", name,
-                      f"safe={safe.value}")
+    if proper and fc and homes:
+        row("home-cluster-implies-lucent", True, luc.lucent is True, _lucency_detail(luc))
+        safe = is_safe(net, m0, limits, rg=rg).value
+        row("home-cluster-implies-safe", True, safe is True, f"safe={safe}")
         try:
             pairs = lucency.find_conflict_pairs(net, m0, limits, rg=rg)
-            report.record("home-cluster-no-conflict-pairs",
-                          "pass" if not pairs else "fail", name,
-                          f"{len(pairs)} conflict pairs" if pairs else "")
+            row("home-cluster-no-conflict-pairs", True, not pairs, f"{len(pairs)} conflict pairs")
         except UndecidedError:
-            report.record("home-cluster-no-conflict-pairs", "skip", name)
-
+            row("home-cluster-no-conflict-pairs", False)
         bad_dom = [c for c in homes
                    if lucency.check_no_dominating(net, m0, c, limits, rg=rg).value is not True]
-        report.record("home-cluster-no-dominating-marking",
-                      "pass" if not bad_dom else "fail", name,
-                      ", ".join(c.pretty() for c in bad_dom))
+        row("home-cluster-no-dominating-marking", True, not bad_dom,
+            ", ".join(c.pretty() for c in bad_dom))
         inc = lucency.check_pairwise_incomparable(net, m0, limits, rg=rg)
-        report.record("home-cluster-markings-incomparable",
-                      "pass" if inc.value is True else "fail", name,
-                      f"witness={inc.witness}")
-        _record_rooted_paths(report, name, net, m0, homes, limits, rg)
-
+        row("home-cluster-markings-incomparable", True, inc.value is True,
+            f"witness={inc.witness}")
+        bad = _rooted_path_faults(net, m0, homes, limits, rg)
+        row("home-cluster-rooted-paths-safe", True, not bad, "; ".join(bad))
         try:
-            kinds = [homecluster.classify_dead_end(net, m0, c, limits, rg=rg) for c in homes]
-            report.record("dead-end-dichotomy", "pass", name, ",".join(kinds))
-        except (TheoremViolation, UndecidedError) as exc:
-            status = "skip" if isinstance(exc, UndecidedError) else "fail"
-            report.record("dead-end-dichotomy", status, name, str(exc))
+            for c in homes:
+                homecluster.classify_dead_end(net, m0, c, limits, rg=rg)
+            row("dead-end-dichotomy", True, True)
+        except UndecidedError:
+            row("dead-end-dichotomy", False)
+        except TheoremViolation as exc:
+            row("dead-end-dichotomy", True, False, str(exc))
     else:
         for check in ("home-cluster-implies-lucent", "home-cluster-implies-safe",
                       "home-cluster-no-conflict-pairs",
                       "home-cluster-no-dominating-marking",
                       "home-cluster-markings-incomparable",
                       "home-cluster-rooted-paths-safe", "dead-end-dichotomy"):
-            report.record(check, "skip", name)
+            row(check, False)
 
     sc_check = homecluster.check_strongly_connected_home_cluster(net, m0, limits, rg=rg)
-    _record_many(report, name, "strongly-connected-home-cluster-live", [sc_check])
+    for check, results in (("strongly-connected-home-cluster-live", [sc_check]),
+                           ("short-circuit-structure", struct_results),
+                           ("detection-equivalence", equiv_results)):
+        applicable = [r for r in results if r.applicable]
+        row(check, bool(applicable), all(r.passed for r in applicable),
+            "; ".join(r.details for r in applicable if not r.passed))
 
-    _record_many(report, name, "short-circuit-structure", struct_results)
-    _record_many(report, name, "detection-equivalence", equiv_results)
-
-    if fc:
-        perp = is_perpetual(net, m0, limits, rg=rg)
-        if perp.value is True:
-            report.record("perpetual-implies-proper",
-                          "pass" if proper else "fail", name, f"proper={proper}")
-        else:
-            report.record("perpetual-implies-proper", "skip", name)
-    else:
-        report.record("perpetual-implies-proper", "skip", name)
+    row("perpetual-implies-proper", fc and is_perpetual(net, m0, limits, rg=rg).value is True,
+        proper, f"proper={proper}")
 
 
 def _lucency_detail(luc):
@@ -608,7 +592,7 @@ def _lucency_detail(luc):
     return f"status={luc.status}"
 
 
-def _record_rooted_paths(report, name, net, m0, homes, limits, rg):
+def _rooted_path_faults(net, m0, homes, limits, rg) -> List[str]:
     bad = []
     for cluster in homes:
         for p in net.places:
@@ -622,19 +606,7 @@ def _record_rooted_paths(report, name, net, m0, homes, limits, rg):
             if v.value is not True:
                 bad.append(f"{p}: unsafe path {list(result.path.nodes)} at "
                            f"{v.witness.pretty() if v.witness else '?'}")
-    report.record("home-cluster-rooted-paths-safe",
-                  "pass" if not bad else "fail", name, "; ".join(bad))
-
-
-def _record_many(report, name, check, results):
-    applicable = [r for r in results if r.applicable]
-    if not applicable:
-        report.record(check, "skip", name)
-    elif all(r.passed for r in applicable):
-        report.record(check, "pass", name)
-    else:
-        detail = "; ".join(r.details for r in applicable if not r.passed)
-        report.record(check, "fail", name, detail)
+    return bad
 
 
 def _tiny_cyclic_nets() -> List[Tuple[str, PetriNet, Marking]]:
