@@ -428,22 +428,24 @@ def generate(params: GeneratorParams) -> Tuple[PetriNet, Marking]:
         rest -= comp
 
     if params.force_strongly_connected:
+        nodes = all_places + all_trans  # PetriNet's node order: places first
+        pos = {x: k for k, x in enumerate(nodes)}
+        post = [set() for _ in nodes]
+        for a, b in arcs:
+            post[pos[a]].add(pos[b])
         for _ in range(100):
-            net = PetriNet(all_places, all_trans, arcs)
-            nodes = net.nodes()
-            pos = {x: k for k, x in enumerate(nodes)}
-            succ = [pos[y] for x in nodes for y in sorted(net.postset(x))]
-            start = list(accumulate((len(net.postset(x)) for x in nodes), initial=0))
-            comp, closed = strong_components(succ, start)
+            comp, closed = strong_components([k for ks in post for k in sorted(ks)],
+                                             list(accumulate(map(len, post), initial=0)))
             if len(closed) == 1:
                 break
             # join the first component no edge leaves to the first none enters:
             # labels are topological, so none enters 0, nor 1 when 0 is closed
             sink = closed.index(True)
             source = int(sink == 0)
-            t = min(x for k, x in enumerate(nodes) if comp[k] == sink and net.is_transition(x))
-            p = min(x for k, x in enumerate(nodes) if comp[k] == source and net.is_place(x))
-            arcs.append((t, p))
+            t = min(k for k in range(len(all_places), len(nodes)) if comp[k] == sink)
+            p = min(k for k in range(len(all_places)) if comp[k] == source)
+            post[t].add(p)
+            arcs.append((nodes[t], nodes[p]))
 
     net = PetriNet(all_places, all_trans, arcs)
     cluster = rng.choice(net.clusters())

@@ -140,7 +140,14 @@ def test_paper_suite_under_a_small_cap_is_undecided(cap, capsys):
     assert main(["paper-suite", "--max-states", str(cap), "--format", "json"]) == code
     out, err = capsys.readouterr()
     assert not err.startswith("error:")
-    assert json.loads(out)["anomalies"] == []
+    result = json.loads(out)
+    assert result["anomalies"] == []
+    # an expectation the cap leaves undecided is listed apart from the failed ones
+    assert result["expectations"]["failed"] == []
+    if cap <= 10:
+        assert result["expectations"]["undecided"]
+    else:
+        assert "undecided" not in result["expectations"]
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -204,10 +211,24 @@ def test_parse_and_decode_errors_count_lines_alike(tmp_path, capsys):
         assert "line 3: not UTF-8 text" in capsys.readouterr().err
 
 
-def _cli_process(argv, stdout):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _cli_process(argv, stdout, **env):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     return subprocess.Popen([sys.executable, "-m", "lucentnet.cli", *argv],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_capped_paper_suite_output_does_not_depend_on_the_hash_seed(fmt):
+    # under this cap the undecided rows print sets of markings
+    outs = []
+    for hash_seed in ("1", "2"):
+        proc = _cli_process(["paper-suite", "--max-states", "4", "--format", fmt],
+                            subprocess.PIPE, PYTHONHASHSEED=hash_seed)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3 and err == b""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert b"reachable_markings" in outs[0]
 
 
 def test_closed_output_exits_141_without_a_message(tmp_path):

@@ -1,10 +1,14 @@
+import pathlib
+
 import pytest
 
-from lucentnet import (ExplorationLimits, GeneratorParams, Marking,
+from lucentnet import (ExplorationLimits, GeneratorParams, Marking, PetriNet,
                        all_reference_nets, connectivity, generate,
                        is_free_choice, is_proper, reference_net,
                        run_theorem_suite, suite_nets, verify_reference_net)
-from lucentnet import paths
+from lucentnet import parse_net, paths
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_reference_nets_load():
@@ -28,6 +32,9 @@ def test_reference_structural_checkpoints():
 @pytest.mark.parametrize("ident", ["n1", "n2", "n3", "n4", "n5"])
 def test_reference_expectations_hold(ident):
     ref = reference_net(ident)
+    # the bundled file is the same net: the goldens run on it
+    doc = parse_net((ROOT / "corpus" / f"{ident}.net").read_text())
+    assert doc.to_net() == (ref.net, ref.initial)
     rows = verify_reference_net(ref)
     failures = [(prop, expected, got) for prop, expected, got, ok in rows if not ok]
     assert not failures, failures
@@ -57,6 +64,16 @@ def test_generator_forced_strong_connectivity():
         net, _ = generate(GeneratorParams(seed=seed, force_strongly_connected=True))
         assert connectivity(net) == "strong"
         assert is_proper(net) and is_free_choice(net)
+
+
+def test_generator_builds_each_net_once(monkeypatch):
+    builds = []
+    init = PetriNet.__init__
+    monkeypatch.setattr(PetriNet, "__init__",
+                        lambda self, *a: builds.append(1) or init(self, *a))
+    for seed in range(30):
+        generate(GeneratorParams(seed=seed, force_strongly_connected=True))
+    assert len(builds) == 30
 
 
 def test_generator_rejects_bad_ranges():

@@ -1,9 +1,10 @@
 """Byte-identical outputs against golden files.
 
 The files under ``tests/golden/`` hold the JSON output and exit code of
-every file subcommand on the reference nets, one seeded ``paper-suite``
-run, and a digest of the serialized random suite nets.  A refactor that
-changes none of the program's behaviour leaves them all untouched.
+every file subcommand on the reference nets, two seeded ``paper-suite``
+runs (one under a cap that truncates the reference nets), and a digest of
+the serialized random suite nets.  A refactor that changes none of the
+program's behaviour leaves them all untouched.
 
 Regenerate them (only for an intended change of output) with::
 
@@ -43,6 +44,9 @@ def cases():
                          "--method", method, "--format", "json"]))
     out.append(("paper-suite-random200-seed7.json",
                 ["paper-suite", "--random", "200", "--seed", "7", "--format", "json"]))
+    out.append(("paper-suite-random30-seed0-cap4.json",  # reference nets cut short
+                ["paper-suite", "--random", "30", "--seed", "0", "--max-states", "4",
+                 "--format", "json"]))
     return out
 
 
