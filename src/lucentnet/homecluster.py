@@ -97,7 +97,6 @@ def _restrict(net: PetriNet, keep: FrozenSet[str]) -> PetriNet:
 class ShortCircuitResult:
     net: PetriNet
     fresh_transition: str
-    removed_nodes: Tuple[str, ...]
 
 
 def _fresh_transition_name(net: PetriNet) -> str:
@@ -109,8 +108,7 @@ def _fresh_transition_name(net: PetriNet) -> str:
     return name
 
 
-def _attach_ring(cleaned: PetriNet, cluster: Cluster, m0: Marking,
-                 removed: Tuple[str, ...]) -> ShortCircuitResult:
+def _attach_ring(cleaned: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircuitResult:
     """The ring of ``cluster``: ``cleaned`` plus tC, derived from it in one step."""
     fresh = _fresh_transition_name(cleaned)
     try:
@@ -118,7 +116,7 @@ def _attach_ring(cleaned: PetriNet, cluster: Cluster, m0: Marking,
     except NetStructureError as exc:
         # a cluster without places on an empty initial marking: tC has no arcs
         raise CleanedNetInvalid(f"short-circuited net is not a valid net: {exc}") from exc
-    return ShortCircuitResult(built, fresh, removed)
+    return ShortCircuitResult(built, fresh)
 
 
 def short_circuit(net: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircuitResult:
@@ -131,8 +129,7 @@ def short_circuit(net: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircuitR
     if missing:
         raise ClusterNotConnected(
             f"cluster does not survive cleaning; dropped nodes: {missing}")
-    removed = tuple(sorted(set(net.nodes()) - kept))
-    return _attach_ring(_restrict(net, kept), cluster, m0, removed)
+    return _attach_ring(_restrict(net, kept), cluster, m0)
 
 
 def _short_circuit_applies(net: PetriNet, m0: Marking) -> bool:
@@ -240,12 +237,11 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     """
     want_direct = method in ("direct", "both")
     want_sc = method in ("short-circuit", "both")
-    cleaned = kept = removed = read = None
+    cleaned = kept = read = None
     if want_sc and _short_circuit_applies(net, m0):
         try:
             cleaned = clean(net, m0)  # shared by every cluster's ring
             kept = set(cleaned.nodes())
-            removed = tuple(sorted(set(net.nodes()) - kept))
         except CleanedNetInvalid:
             pass
     if want_direct or cleaned is not None:
@@ -270,7 +266,7 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
             else:
                 try:
                     if rings or read is None:
-                        ring = _attach_ring(cleaned, cluster, m0, removed)
+                        ring = _attach_ring(cleaned, cluster, m0)
                         ring_v, graph = _ring_verdict(ring, m0, limits)
                     sc_v = read(marking) if read else ring_v.value
                     if sc_v is None:
@@ -353,10 +349,6 @@ class CheckResult:
     applicable: bool
     passed: Optional[bool]
     details: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.applicable and self.passed is False
 
 
 def check_strongly_connected_home_cluster(net: PetriNet, m0: Marking,

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .errors import (ConstructionFailed, GreedyCycle, RequiresSafeMarking,
                      UndecidedError)
 from .net import Marking, PetriNet, enabled_transitions, fire, fire_sequence, mrk
+from .paths import expedite_split
 from .reachability import (ExplorationLimits, ReachabilityGraph, UNBOUNDED,
                            UnboundednessWitness, Verdict, explore)
 
@@ -109,7 +110,6 @@ def verify_conflict_pair(net: PetriNet, rg: ReachabilityGraph,
 
 def find_conflict_pairs(net: PetriNet, m0: Marking,
                         limits: Optional[ExplorationLimits] = None,
-                        max_pairs: Optional[int] = None,
                         rg: Optional[ReachabilityGraph] = None
                         ) -> Tuple[ConflictPair, ...]:
     """Scan ordered state pairs for conflict pairs, in exploration order.
@@ -131,8 +131,6 @@ def find_conflict_pairs(net: PetriNet, m0: Marking,
             if masks[i] & masks[j] or masks[i] & ~touched(j) or masks[j] & ~touched(i):
                 continue
             found.append(ConflictPair(rg.marking(i), rg.marking(j)))
-            if max_pairs is not None and len(found) >= max_pairs:
-                return tuple(found)
     return tuple(found)
 
 
@@ -222,8 +220,6 @@ def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
                 raise GreedyCycle(f"marking pair revisited after firing {sigma}")
             seen.add((cur1, cur2))
     elif mode == "guided":
-        from .paths import expedite_split
-
         if cluster is None:
             raise ValueError("guided mode needs the home cluster")
         graph = rg if rg is not None else explore(net, m1, limits)

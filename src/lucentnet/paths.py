@@ -88,12 +88,6 @@ class Path:
             raise InvalidPath(f"not a path: {list(nodes)}")
         return Path(tuple(nodes))
 
-    def places(self, net: PetriNet) -> Tuple[str, ...]:
-        return tuple(x for x in self.nodes if net.is_place(x))
-
-    def transitions(self, net: PetriNet) -> Tuple[str, ...]:
-        return tuple(x for x in self.nodes if net.is_transition(x))
-
 
 @dataclass(frozen=True)
 class DisentangledPath(Path):
@@ -152,7 +146,6 @@ def disentangle(net: PetriNet, nodes: Sequence[str], cluster) -> DisentangledPat
 class RootedPathResult:
     path: Optional[DisentangledPath]
     reason: str = ""  # "" | "dead-place" | "no-graph-path"
-    anomaly: bool = False
 
     @property
     def found(self) -> bool:
@@ -162,12 +155,14 @@ class RootedPathResult:
 def find_rooted_path(net: PetriNet, m0: Marking, place: str, cluster,
                      limits: Optional[ExplorationLimits] = None,
                      rg: Optional[ReachabilityGraph] = None) -> RootedPathResult:
-    """A cluster-rooted disentangled path from a non-dead place.
+    """A cluster-rooted disentangled path from a non-dead place of the net:
+    the first path to a place of ``cluster`` found breadth-first, in
+    lexicographic order; a shortest one, meeting the cluster only at its end.
 
-    Breadth-first over the net graph with lexicographic expansion, then
-    disentangled.  ``no-graph-path`` for a non-dead place is flagged as an
-    anomaly: in a proper free-choice net with a home cluster such a path
-    must exist.  The start must be a place of the net.
+    So no :func:`disentangle` pass is needed: were two of its places in one
+    cluster, the arc from the earlier one to the transition after the later
+    one would make a shorter path.  A free-choice net has that arc; in any
+    other net such a path raises :class:`InvalidPath`.
     """
     if not net.is_place(place):
         net.postset(place)  # NodeNotFound for a node outside the net
@@ -197,12 +192,12 @@ def find_rooted_path(net: PetriNet, m0: Marking, place: str, cluster,
                 break
         frontier = nxt
     if hit is None:
-        return RootedPathResult(None, reason="no-graph-path", anomaly=True)
+        return RootedPathResult(None, reason="no-graph-path")
     chain = [hit]
     while prev[chain[-1]] is not None:
         chain.append(prev[chain[-1]])
     chain.reverse()
-    return RootedPathResult(disentangle(net, chain, cluster))
+    return RootedPathResult(DisentangledPath.of(net, chain))
 
 
 def verify_path_safety(net: PetriNet, m0: Marking, path,

@@ -17,7 +17,7 @@ def restrict(net, keep):
         raise CleanedNetInvalid(f"cleaned net is not a valid net: {exc}") from exc
 
 
-def attach_ring(cleaned, cluster, m0, removed):
+def attach_ring(cleaned, cluster, m0):
     fresh = _fresh_transition_name(cleaned)
     arcs = sorted(cleaned.flow)
     arcs += [(p, fresh) for p in cluster.places]
@@ -27,4 +27,4 @@ def attach_ring(cleaned, cluster, m0, removed):
     except NetStructureError as exc:
         # a cluster without places on an empty initial marking: tC has no arcs
         raise CleanedNetInvalid(f"short-circuited net is not a valid net: {exc}") from exc
-    return ShortCircuitResult(built, fresh, removed)
+    return ShortCircuitResult(built, fresh)

@@ -87,10 +87,6 @@ def test_find_conflict_pairs_n3(n3):
         assert verify_conflict_pair(n3.net, rg, p.m1, p.m2)
 
 
-def test_find_conflict_pairs_respects_cap(n3):
-    assert len(find_conflict_pairs(n3.net, n3.initial, max_pairs=1)) <= 1
-
-
 def test_no_conflict_pairs_in_n1(n1):
     assert find_conflict_pairs(n1.net, n1.initial) == ()
 

@@ -9,8 +9,12 @@ from lucentnet import (BadIndices, Expedition, InvalidPath, Marking, NodeNotFoun
                        is_elementary, is_path, is_q_rooted,
                        sequence_to_multiset, verify_expedite_safe,
                        verify_path_safety)
+from lucentnet import (ExplorationLimits, NetStructureError, UndecidedError, explore,
+                       is_free_choice, suite_nets)
 from lucentnet.corpus import GeneratorParams, generate
 from lucentnet.paths import _closure_neighbors, _trace
+import rooted_oracle
+from test_packed_explore import random_net
 
 SIGMA5 = ("t2", "t5", "t6", "t8", "t8")
 
@@ -54,7 +58,8 @@ def test_disentangle_contract(n3):
     assert is_disentangled(n3.net, out.nodes)
     assert is_q_rooted(n3.net, out.nodes, cluster1.places)
     assert out.nodes[0] == rho[0]
-    assert set(out.transitions(n3.net)) <= {x for x in rho if n3.net.is_transition(x)}
+    transitions = {x for x in out.nodes if n3.net.is_transition(x)}
+    assert transitions <= {x for x in rho if n3.net.is_transition(x)}
 
 
 def test_disentangle_identity_and_truncation(n3):
@@ -255,3 +260,49 @@ def test_expedite_replays_on_random_nets():
                     variant = expedite(tuple(walk), i, j)
                     assert fire_sequence(net, m0, variant) == expected
     assert nets >= 10
+
+
+def _rooted_outcome(find, net, m0, place, cluster, rg):
+    try:
+        res = find(net, m0, place, cluster, rg=rg)
+    except (InvalidPath, UndecidedError) as exc:
+        return type(exc)
+    return res
+
+
+def _compare_rooted(net, m0, limits):
+    """``find_rooted_path`` against the BFS-then-disentangle oracle on every
+    (cluster, place) of ``net``; returns the outcomes."""
+    rg = explore(net, m0, limits)
+    outcomes = []
+    for cluster in net.clusters():
+        for p in net.places:
+            got = _rooted_outcome(find_rooted_path, net, m0, p, cluster, rg)
+            assert got == _rooted_outcome(rooted_oracle.find_rooted_path,
+                                          net, m0, p, cluster, rg)
+            outcomes.append(got)
+    return outcomes
+
+
+def test_rooted_paths_match_bfs_then_disentangle():
+    # free-choice nets: the breadth-first chain is already disentangled
+    limits = ExplorationLimits(max_states=200)
+    fc = []
+    for _, net, m0 in suite_nets(random_count=300, seed=99):
+        if is_free_choice(net):
+            fc += _compare_rooted(net, m0, limits)
+    assert InvalidPath not in fc
+    assert sum(1 for o in fc if not isinstance(o, type) and o.found) > 2000
+    # any class: a chain through two places of one cluster raises on both sides
+    rng = random.Random(17)
+    general, made = [], 0
+    while made < 600:
+        try:
+            net, m0 = random_net(rng)
+        except NetStructureError:
+            continue
+        made += 1
+        general += _compare_rooted(net, m0, limits)
+    assert {InvalidPath, UndecidedError} <= set(general)
+    assert {o.reason for o in general if not isinstance(o, type)} == \
+        {"", "dead-place", "no-graph-path"}
