@@ -21,7 +21,7 @@ import sys
 
 from . import corpus, homecluster, lucency, report
 from .errors import LucentNetError, ParseError, TheoremViolation
-from .reachability import ExplorationLimits, explore
+from .reachability import DEFAULT_MAX_STATES, TRUNCATED, ExplorationLimits, explore
 from .textio import parse_net
 
 EXIT_OK = 0
@@ -33,8 +33,8 @@ EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, what a shell reports for a process SI
 
 
 def _common(parser):
-    parser.add_argument("--max-states", type=int, default=100_000,
-                        help="state-space exploration cap (default 100000)")
+    parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                        help=f"state-space exploration cap (default {DEFAULT_MAX_STATES})")
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -109,7 +109,7 @@ def _cmd_analyze(args, limits) -> int:
     name, net, m0 = _load(args.file)
     rep = report.build_report(name, net, m0, limits)
     sys.stdout.write(report.emit_report(rep, args.format))
-    return EXIT_UNDECIDED if rep["exploration"]["verdict"] == "truncated" else EXIT_OK
+    return EXIT_UNDECIDED if rep["exploration"]["verdict"] == TRUNCATED else EXIT_OK
 
 
 def _cmd_lucency(args, limits) -> int:
@@ -191,7 +191,7 @@ def _cmd_reach(args, limits) -> int:
         if rg.unbounded_witness:
             print(f"  unbounded: stem {list(rg.unbounded_witness.stem)} "
                   f"pump {list(rg.unbounded_witness.pump)}")
-    return EXIT_UNDECIDED if rg.verdict == "truncated" else EXIT_OK
+    return EXIT_UNDECIDED if rg.verdict == TRUNCATED else EXIT_OK
 
 
 def _cmd_suite(args, limits) -> int:
@@ -206,7 +206,7 @@ def _cmd_suite(args, limits) -> int:
         rows = corpus.verify_reference_net(ref, limits, rg)
         checked += len(rows)
         # an expectation missed on a graph the cap cut short is undecided
-        missed = undecided if rg.verdict == "truncated" else failed
+        missed = undecided if rg.verdict == TRUNCATED else failed
         missed.extend([ref.ident, prop, _shown(expected), _shown(got)]
                       for prop, expected, got, ok in rows if not ok)
     suite = corpus.run_theorem_suite(nets, limits, graphs)

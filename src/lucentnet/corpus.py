@@ -252,7 +252,7 @@ def reference_net(ident: str) -> ReferenceNet:
     key = ident.lower()
     if key not in _BUILDERS:
         raise KeyError(f"unknown reference net {ident!r}")
-    return _BUILDERS[key]()
+    return next(ref for ref in all_reference_nets() if ref.ident == key)
 
 
 @functools.cache  # the nets are immutable: build and check them once
@@ -267,11 +267,19 @@ def verify_reference_net(ref: ReferenceNet,
                          limits: Optional[ExplorationLimits] = None,
                          rg: Optional[ReachabilityGraph] = None):
     """Evaluate every expected property, on ``rg`` when the net's graph is
-    given; returns rows of (property, expected, actual, ok)."""
+    given; returns rows of (property, expected, actual, ok).  An actual
+    value the graph does not decide reads ``None``, as an undecided verdict
+    does: the counts and dead nodes of an incomplete graph, and the home
+    clusters while some cluster's verdict is undecided."""
     net, m0 = ref.net, ref.initial
     rg = rg or explore(net, m0, limits)
     luc = lucency.check_lucency(net, m0, limits, rg=rg)
     hc = homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
+    undecided = set() if rg.complete else {"reachable_count", "reachable_markings",
+                                           "distinct_footprints", "dead_places",
+                                           "dead_transitions"}
+    if any(d.is_home is None for d in hc.details):
+        undecided |= {"has_home_cluster", "home_cluster_places", "dead_end"}
 
     def actual(prop):
         if prop == "free_choice":
@@ -335,8 +343,8 @@ def verify_reference_net(ref: ReferenceNet,
     rows = []
     for prop, expected, provenance in ref.expected:
         try:
-            got = actual(prop)
-        except UndecidedError:  # a truncated graph leaves it undecided, as ``lucent``
+            got = None if prop in undecided else actual(prop)
+        except UndecidedError:
             got = None
         if prop == "reachable_markings" or prop == "home_markings":
             ok = got == set(expected)

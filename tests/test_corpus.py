@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from lucentnet import (ExplorationLimits, GeneratorParams, Marking, PetriNet,
-                       all_reference_nets, connectivity, generate,
+                       all_reference_nets, connectivity, explore, generate,
                        is_free_choice, is_proper, reference_net,
                        run_theorem_suite, suite_nets, verify_reference_net)
 from lucentnet import parse_net, paths
@@ -38,6 +38,18 @@ def test_reference_expectations_hold(ident):
     rows = verify_reference_net(ref)
     failures = [(prop, expected, got) for prop, expected, got, ok in rows if not ok]
     assert not failures, failures
+
+
+def test_truncated_graphs_leave_reference_values_undecided():
+    # every cap that cuts a reference net short: a row the capped graph
+    # cannot decide reads None, never a value that looks decided
+    for ref in all_reference_nets():
+        cap = 1
+        while not (rg := explore(ref.net, ref.initial, ExplorationLimits(cap))).complete:
+            for prop, _, got, ok in verify_reference_net(ref, ExplorationLimits(cap), rg):
+                assert ok or got is None, (ref.ident, cap, prop, got)
+            cap += 1
+        assert cap > 2, ref.ident
 
 
 def test_generator_determinism():
