@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -53,7 +54,10 @@ def _load(path: str):
     return doc.name, net, m0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each argument it adds
+    makes a help formatter, which reads the terminal size."""
     parser = argparse.ArgumentParser(
         prog="lucentnet",
         description="Lucency, transparency, and home-cluster analysis for marked Petri nets")
@@ -77,7 +81,11 @@ def main(argv=None) -> int:
                          help="additionally generate N random free-choice nets")
     p_suite.add_argument("--seed", type=int, default=0)
     _common(p_suite)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         limits = ExplorationLimits(max_states=args.max_states)

@@ -123,7 +123,7 @@ def find_conflict_pairs(net: PetriNet, m0: Marking,
     rg = rg or explore(net, m0, limits)
     if not rg.complete:
         raise UndecidedError(f"conflict-pair search needs a complete exploration ({rg.verdict})")
-    masks, touched = list(rg.masks()), lru_cache(maxsize=None)(rg.touched)
+    masks, touched = rg.masks(), lru_cache(maxsize=None)(rg.touched)
     live = [i for i, mask in enumerate(masks) if mask]
     found: List[ConflictPair] = []
     for a, i in enumerate(live):

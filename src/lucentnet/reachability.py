@@ -16,19 +16,29 @@ the low bits of t's preset and postset (``preg[t] = pre1[t] << w``):
 
 - the marked places are the guard bits of ``((s | G) - ONES) & G``: a field
   holding ``c`` borrows from its guard exactly when ``c`` is 0;
-- the candidate transitions are the outputs of the marked places (plus
-  those with an empty preset), taken lowest index first, so edges keep
-  identifier order; t is enabled when ``marked & preg[t] == preg[t]``;
+- t is enabled when ``marked & preg[t] == preg[t]``; only the initial
+  state tests the outputs of all its marked places (plus the transitions
+  with an empty preset);
 - firing t gives ``s - pre1[t] + post1[t]``; a count that outgrows its
   field sets a guard bit, and the search then starts over at width ``2w``;
+- a new state's enabled mask is derived from its parent's ``en``, once:
+  firing t changes only the counts of the places it takes from and puts
+  on (self-loop places aside), so only their outputs ``lose[t]`` and
+  ``gain[t]`` can change.  At width 1 t empties the places it takes from,
+  so the mask is ``en & ~lose[t]`` plus those of ``gain[t] & ~(en |
+  lose[t])`` enabled at ``s2``; at wider fields ``(lose[t] & en) |
+  (gain[t] & ~en)`` is re-tested.  Expanding a state walks the set bits of
+  its mask, lowest first, so edges keep identifier order;
 - ``s2`` strictly dominates ancestor ``k`` when ``sizes[k] < size2`` and
   ``((s2 | G) - states[k]) & G == G`` (no field of ``s2`` is below ``k``'s).
 
-Each state also keeps the smallest token count on its root path.  Only an
-ancestor with fewer tokens can be strictly dominated, so the ancestor walk
-stops as soon as none is left above (Karp & Miller 1969); a net that
-conserves tokens never walks.  The graph keeps the packed states (decoded
-only where asked), an enabled mask per state and a flat successor list.
+Only an ancestor with fewer tokens can be strictly dominated.  Each state
+keeps ``down``, its nearest ancestor with fewer tokens than itself, so the
+ancestor walk hops over each run of ancestors that hold at least as many
+tokens as the new state and tests only those that hold fewer (Karp &
+Miller 1969); in a net that conserves tokens the walk ends at once.  The
+graph keeps the packed states (decoded only where asked), every found
+state's enabled mask and a flat successor list.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ from array import array
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, islice
 from operator import or_
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import UndecidedError
 from .net import Marking, PetriNet, compiled, mrk
@@ -86,10 +96,11 @@ class ReachabilityGraph:
     at most once.
 
     The graph keeps what the search wrote: the packed states, index dict,
-    token counts (``sizes``), and for each state it began to expand a mask
-    (bit t for transition t) and successors ``succ[start[i]:start[i + 1]]``
-    in compressed sparse row form, the k-th labelled by the mask's k-th set
-    bit.  The first ``expanded`` states' masks are their enabled sets.
+    token counts (``sizes``), every state's enabled mask (bit t for
+    transition t) and successors ``succ[start[i]:start[i + 1]]`` in
+    compressed sparse row form, the k-th labelled by the mask's k-th set
+    bit.  The first ``expanded`` states have all their edges; the search
+    may stop part-way through the next one, and the rest have none.
 
     ``states[0]`` is the initial marking; every edge ``(i, t, j)`` satisfies
     ``fire(states[i], t) == states[j]``.  When the verdict is ``complete``
@@ -100,8 +111,10 @@ class ReachabilityGraph:
     def __init__(self, net, layout, packed, index, sizes, masks, succ, verdict,
                  unbounded_witness, expanded):
         n, names = len(packed), net.transitions
-        masks += [0] * (n - len(masks))  # the states never expanded
-        start = array("l", accumulate(map(int.bit_count, masks), initial=0))  # a successor per bit
+        # a successor per bit of an expanded state; then the edges of the
+        # state whose expansion stopped part-way, and none for the rest
+        start = array("l", accumulate(map(int.bit_count, masks[:expanded]), initial=0))
+        start.extend([len(succ)] * (n - expanded))
         self.net: PetriNet = net
         self.verdict: str = verdict
         self.unbounded_witness: Optional[UnboundednessWitness] = unbounded_witness
@@ -113,7 +126,6 @@ class ReachabilityGraph:
         self._layout, self._packed, self._index = layout, packed, index
         self._masks, self._succ, self._start = masks, succ, start
         self._expanded = expanded
-        self._scanned: Dict[int, int] = {}
         self._components: Optional[tuple] = None  # (sccs, terminal sccs)
         self._home: Optional[FrozenSet[int]] = None
         self._live: Optional[Verdict] = None
@@ -172,24 +184,23 @@ class ReachabilityGraph:
         return list(zip(self.names(self._masks[i]), self._succ[self._start[i]:self._start[i + 1]]))
 
     def mask(self, i: int) -> int:
-        """Enabled set of a state as a mask: the one the search wrote when
-        it expanded the state, otherwise computed once from the packed
-        state by the search's own test."""
-        if i < self._expanded:
-            return self._masks[i]
-        mask = self._scanned.get(i)
-        if mask is None:  # as _search tests the state
-            lay, form, s = self._layout, compiled(self.net), self._packed[i]
-            marked = ((s | lay.guard) - lay.ones) & lay.guard
-            candidates = reduce(or_, map(form.outs.__getitem__, lay.marked(s)), form.always)
-            mask = sum(1 << t for t in _bits(candidates) if marked & lay.need[t] == lay.need[t])
-            self._scanned[i] = mask
-        return mask
+        """Enabled set of a state as a mask."""
+        return self._masks[i]
 
-    def masks(self) -> Iterator[int]:
-        """The enabled mask of every state, in state order, scanned lazily."""
-        done = self._expanded
-        return chain(self._masks[:done], map(self.mask, range(done, len(self.sizes))))
+    def masks(self) -> List[int]:
+        """The enabled mask of every state, in state order."""
+        return self._masks
+
+    def labels(self) -> int:
+        """The transitions that label an explored edge, as a mask: the
+        expanded states' masks and the first bits of the state whose
+        expansion stopped part-way."""
+        done, start = self._expanded, self._start
+        out = reduce(or_, self._masks[:done], 0)
+        if done < len(self._masks):
+            for t in islice(_bits(self._masks[done]), start[done + 1] - start[done]):
+                out |= 1 << t
+        return out
 
     def inputs(self, mask: int) -> int:
         """How many places the presets of the transitions in ``mask`` hold."""
@@ -351,11 +362,13 @@ def strong_components(succ: Sequence[int], start: Sequence[int]) -> Tuple[List[i
 class _Layout:
     """Packs and decodes a net's markings at field width ``w`` (see the module
     docstring; ``ones`` is ``ONES``, ``guard`` is ``G``, ``need[t]`` is
-    ``preg[t]``, and firing t adds ``delta[t]``).  ``extra`` holds the initial
-    marking's items on places outside the net, carried by every state."""
+    ``preg[t]``, firing t adds ``delta[t]``, and ``lose[t]``/``gain[t]`` are
+    the outputs of the places firing t takes from/puts on, self-loop places
+    left out).  ``extra`` holds the initial marking's items on places outside
+    the net, carried by every state."""
 
     __slots__ = ("width", "field", "ones", "guard", "places", "index", "extra", "labels",
-                 "need", "delta")
+                 "need", "delta", "lose", "gain")
 
     def __init__(self, form, places, extra, w: int):
         f, at = w + 1, form.place_index
@@ -365,15 +378,23 @@ class _Layout:
         self.guard = self.ones << w
         self.places, self.index, self.extra = places, at, extra
         self.labels = [f"{p}:1" for p in places]  # the strings of a safe state
-        self.need, self.delta = [], []
+        self.need, self.delta, self.lose, self.gain = [], [], [], []
+        outs = form.outs_of
         for t in form.transitions:
-            x = y = 0
-            for p in form.pre[t]:
+            pre, post = form.pre[t], form.post[t]
+            x = y = lose = gain = 0
+            for p in pre:
                 x |= 1 << (at[p] * f)
-            for p in form.post[t]:
+                if p not in post:  # a self-loop place keeps its count
+                    lose |= outs[p]
+            for p in post:
                 y |= 1 << (at[p] * f)
+                if p not in pre:
+                    gain |= outs[p]
             self.need.append(x << w)
             self.delta.append(y - x)
+            self.lose.append(lose)
+            self.gain.append(gain)
 
     def pack(self, m: Marking):
         """m's counts on the net's places packed (None if one is too wide), and m's other items."""
@@ -438,68 +459,79 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
     ``(states, index, sizes, masks, succ, verdict, witness, expanded)`` as
     :class:`ReachabilityGraph` keeps them, or ``None`` as soon as a count
     outgrows its field."""
-    guard, ones, f = layout.guard, layout.ones, layout.field
-    pre_guard, delta = layout.need, layout.delta
-    outs, always, dsize, names = form.outs, form.always, form.dsize, form.transitions
+    guard, ones = layout.guard, layout.ones
+    pre_guard, delta, lose, gain = layout.need, layout.delta, layout.lose, layout.gain
+    dsize, names = form.dsize, form.transitions
+    wide = layout.width > 1
+    marked = ((s0 | guard) - ones) & guard
+    test = reduce(or_, map(form.outs.__getitem__, layout.marked(s0)), form.always)
     states = [s0]
     index = {s0: 0}
     sizes = [size0]   # token count of each state
-    least = [size0]   # smallest token count on each state's root path
+    down = [-1]       # each state's nearest ancestor with fewer tokens
     parent = [-1]
     via = [-1]        # the transition that first reached each state
-    masks: List[int] = []
+    masks = [sum(1 << t for t in _bits(test) if marked & pre_guard[t] == pre_guard[t])]
     succ: List[int] = []
 
     pos = 0
     while pos < len(states):
         s = states[pos]
         size = sizes[pos]
-        mask = 0
-        marked = ((s | guard) - ones) & guard
-        candidates = always
-        rest = marked
+        en = rest = masks[pos]
         while rest:
             bit = rest & -rest
             rest ^= bit
-            candidates |= outs[bit.bit_length() // f - 1]
-        while candidates:
-            bit = candidates & -candidates
-            candidates ^= bit
             t = bit.bit_length() - 1
-            need = pre_guard[t]
-            if marked & need != need:
-                continue
             s2 = s + delta[t]
             if s2 & guard:
                 return None
             j = index.get(s2)
             if j is None:
                 size2 = size + dsize[t]
-                # an ancestor strictly below s2 has fewer tokens, so walk
-                # only while one with fewer tokens is still above
+                # only an ancestor with fewer tokens can lie strictly below
+                # s2: hop over the runs of ancestors that hold as many
                 k = pos
+                while k != -1 and sizes[k] >= size2:
+                    k = down[k]
+                low = k
                 s2g = s2 | guard
-                while k != -1 and least[k] < size2:
-                    if sizes[k] < size2 and (s2g - states[k]) & guard == guard:
+                while k != -1:
+                    if (s2g - states[k]) & guard == guard:
                         stem = _path(k, parent, via, names)
                         full = _path(pos, parent, via, names) + (names[t],)
                         witness = UnboundednessWitness(stem=stem, pump=full[len(stem):])
-                        masks.append(mask)
                         return states, index, sizes, masks, succ, UNBOUNDED, witness, pos
                     k = parent[k]
+                    while k != -1 and sizes[k] >= size2:
+                        k = down[k]
                 if len(states) >= max_states:
-                    masks.append(mask)
                     return states, index, sizes, masks, succ, TRUNCATED, None, pos
+                # t changes only the counts of its non-loop places: what
+                # they feed is re-tested, the rest of en carries over
+                lost = lose[t]
+                if wide:
+                    test = gain[t] & ~en | lost & en
+                else:  # the places of lost are now empty
+                    test = gain[t] & ~(en | lost)
+                en2 = en & ~lost
+                if test:
+                    marked = (s2g - ones) & guard
+                    while test:
+                        tb = test & -test
+                        test ^= tb
+                        need = pre_guard[tb.bit_length() - 1]
+                        if marked & need == need:
+                            en2 |= tb
                 j = len(states)
                 states.append(s2)
                 index[s2] = j
                 sizes.append(size2)
-                least.append(min(least[pos], size2))
+                down.append(low)
                 parent.append(pos)
                 via.append(t)
+                masks.append(en2)
             succ.append(j)
-            mask |= bit
-        masks.append(mask)
         pos += 1
     return states, index, sizes, masks, succ, COMPLETE, None, pos
 
@@ -568,8 +600,8 @@ def dead_places(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
 
 
 def dead_transitions(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
-    """Transitions labeling no explored edge: the zero bits of the OR of all masks."""
-    return tuple(sorted(set(net.transitions) - set(rg.names(reduce(or_, rg._masks)))))
+    """Transitions labeling no explored edge: the zero bits of :meth:`ReachabilityGraph.labels`."""
+    return tuple(sorted(set(net.transitions) - set(rg.names(rg.labels()))))
 
 
 def is_deadlock_free(net: PetriNet, rg: ReachabilityGraph) -> Verdict:

@@ -252,3 +252,61 @@ def test_unwritable_output_is_not_an_input_error():
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- one parser for every call in a process --------------------------------
+
+EVERY_SUBCOMMAND = [
+    ["analyze", corpus_file("n1"), "--format", "json"],
+    ["analyze", corpus_file("n3")],
+    ["lucency", corpus_file("n3")],
+    ["lucency", "no-such.net"],
+    ["home-clusters", corpus_file("n1"), "--method", "direct"],
+    ["home-clusters", corpus_file("n2"), "--format", "json"],
+    ["reach", corpus_file("n2")],
+    ["reach", corpus_file("n4"), "--max-states", "3", "--format", "json"],
+    ["paper-suite", "--max-states", "4"],
+]
+
+
+def _in_process(argv, capsys):
+    """The exit code and the bytes written to stdout and stderr by one call of ``main``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own exits: --help and bad options
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+def _fresh(argv):
+    """What a new process prints for ``argv``: its exit code, stdout and stderr."""
+    proc = _cli_process(argv, subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def test_one_process_runs_every_subcommand_as_new_processes_do(capsys):
+    want = [_fresh(argv) for argv in EVERY_SUBCOMMAND]
+    assert {code for code, _, _ in want} == {0, 1, 2, 3}
+    parser = cli._parser()
+    for _ in range(2):  # each subcommand in turn, twice, on the one parser
+        assert [_in_process(argv, capsys) for argv in EVERY_SUBCOMMAND] == want
+    assert cli._parser() is parser
+
+
+def test_max_states_zero_exits_2_on_every_call(capsys):
+    argv = ["lucency", corpus_file("n1"), "--max-states", "0"]
+    want = _fresh(argv)
+    assert want[0] == 2 and b"--max-states must be a positive integer" in want[2]
+    assert [_in_process(argv, capsys) for _ in range(2)] == [want, want]
+
+
+@pytest.mark.parametrize("command", [[], ["analyze"], ["lucency"], ["home-clusters"],
+                                     ["reach"], ["paper-suite"]])
+def test_help_from_the_reused_parser_matches_a_new_process(command, capsys, monkeypatch):
+    # help is wrapped to the terminal width, which COLUMNS fixes for both
+    monkeypatch.setenv("COLUMNS", "100")
+    want = _fresh(command + ["--help"])
+    assert want[0] == 0 and want[1].startswith(b"usage: lucentnet")
+    assert [_in_process(command + ["--help"], capsys) for _ in range(2)] == [want, want]

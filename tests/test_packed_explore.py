@@ -1,8 +1,9 @@
 """The packed-integer ``explore`` against the Marking-based explorer it
 replaced (``explore_oracle``): same states in the same order, same edges
 and out-edges, verdict, witness, expanded count, token counts and index,
-and enabled masks equal to the net's enabled sets, on every net family and
-on the field-widening paths."""
+an enabled mask equal to the net's enabled set for every state found, and
+dead transitions that label no explored edge, on every net family and on
+the field-widening paths."""
 
 import gc
 import random
@@ -11,8 +12,8 @@ import tracemalloc
 import pytest
 
 from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
-                       all_reference_nets, enabled_transitions, explore,
-                       suite_nets)
+                       all_reference_nets, dead_transitions, enabled_transitions,
+                       explore, suite_nets)
 from lucentnet import reachability
 from lucentnet.net import enabled_list
 from lucentnet.textio import MAX_INIT_TOKENS
@@ -49,8 +50,9 @@ def assert_same(net, m0, limits=None):
     assert [got.out_edges(i) for i in range(len(out))] == out
     bit = {t: 1 << k for k, t in enumerate(net.transitions)}
     masks = [sum(bit[t] for t in enabled_transitions(net, m)) for m in want.states]
-    assert got._masks[:want.expanded] == masks[:want.expanded]  # written by the search
-    assert list(got.masks()) == masks  # the rest scanned from the net
+    assert got.masks() == masks  # every found state's, written by the search
+    fired = {t for _, t, _ in want.edges}
+    assert dead_transitions(net, got) == tuple(t for t in net.transitions if t not in fired)
     return got
 
 
@@ -214,3 +216,111 @@ def test_graph_holds_at_most_24_bytes_per_edge():
         tracemalloc.stop()
     assert (len(rg.states), len(rg.edges)) == (4097, 49_154)
     assert held <= 24 * len(rg.edges)
+
+
+# -- edge cases of the enabled masks carried from parent to child ----------
+
+EDGE_CAPS = (None, 1, 2, 5)
+
+
+@pytest.mark.parametrize("cap", EDGE_CAPS)
+def test_self_loop_place_keeps_what_it_feeds(cap):
+    # t reads a (a self-loop) and moves b to c; w takes a away, after which
+    # t is dead: firing t must keep w enabled, at width 1 and at width 2
+    net = PetriNet(["a", "b", "c", "d"], ["t", "u", "w"],
+                   [("a", "t"), ("b", "t"), ("t", "a"), ("t", "c"),
+                    ("c", "u"), ("u", "b"), ("a", "w"), ("w", "d")])
+    for m0 in (Marking.of("a", "b"), Marking.of("a", "b", "b"), Marking.of("a", "a", "b")):
+        rg = assert_same(net, m0, _limits(cap))
+        if cap is None:
+            assert rg.complete
+            assert all(rg.enabled(i) >= {"w"} for i, m in enumerate(rg.states) if "a" in m)
+
+
+@pytest.mark.parametrize("cap", EDGE_CAPS)
+def test_two_tokens_on_a_shared_input_keep_the_sibling_enabled(cap, widths):
+    # p feeds t1, t2 and w; after t1 or t2 fires, p still holds a token, so
+    # the width-2 update must re-test the other instead of dropping it, and
+    # w, fed by both the place t1 takes from and the one it puts on, too
+    net = PetriNet(["p", "q", "r"], ["t1", "t2", "u", "w"],
+                   [("p", "t1"), ("t1", "q"), ("p", "t2"), ("t2", "r"),
+                    ("q", "u"), ("r", "u"), ("u", "p"), ("p", "w"), ("q", "w"), ("w", "r")])
+    rg = assert_same(net, Marking.of("p", "p"), _limits(cap))
+    assert set(widths) == {2}
+    if cap is None or cap >= 2:
+        assert rg.enabled(1) == {"t1", "t2", "w"}  # p:1 and q:1 after t1
+
+
+@pytest.mark.parametrize("cap", EDGE_CAPS)
+def test_empty_preset_transition_stays_enabled(cap):
+    # src has no input place: every state enables it, and it pumps p
+    net = PetriNet(["p", "q"], ["src", "t"], [("src", "p"), ("p", "t"), ("t", "q")])
+    for m0 in (Marking(), Marking.of("q")):
+        rg = assert_same(net, m0, _limits(cap))
+        assert all("src" in rg.enabled(i) for i in range(len(rg.states)))
+        if cap is None:
+            assert rg.verdict == "unbounded"
+
+
+@pytest.mark.parametrize("cap", EDGE_CAPS)
+def test_widening_restart_in_the_middle_of_the_search(cap, widths):
+    # two safe chains meet on c, which holds two tokens only once both
+    # have run to their end: the width-1 search finds several states
+    # before it starts over at width 2
+    arcs = [("a0", "s0"), ("s0", "a1"), ("a1", "s1"), ("s1", "a2"), ("a2", "s2"), ("s2", "c"),
+            ("b0", "u0"), ("u0", "b1"), ("b1", "u1"), ("u1", "c"), ("c", "v"), ("v", "d")]
+    net = PetriNet(["a0", "a1", "a2", "b0", "b1", "c", "d"],
+                   ["s0", "s1", "s2", "u0", "u1", "v"], arcs)
+    rg = assert_same(net, Marking.of("a0", "b0"), _limits(cap))
+    if cap is None:
+        assert widths == [1, 2]
+        assert rg.index_of(Marking.of("c", "c")) > 5
+    else:
+        assert widths == [1]  # every cap stops the search before c gets two
+
+
+@pytest.mark.parametrize("cap", EDGE_CAPS)
+def test_dominated_ancestor_above_a_run_of_fuller_ancestors(cap):
+    # one path: [p] -> [s0] (1 token) -> 4 -> 3 -> [s3] (1) -> 3 -> 2 ->
+    # [s0, x] (2), which strictly dominates [s0].  The walk from the new
+    # state hops over the fuller ancestors to [s3], which it does not
+    # dominate, then over two more to [s0]
+    arcs = [("p", "tp"), ("tp", "s0"),
+            ("s0", "t0"), ("t0", "s1"), ("t0", "y1"), ("t0", "y2"), ("t0", "y3"),
+            ("s1", "t1"), ("y1", "t1"), ("t1", "s2"),
+            ("s2", "t2"), ("y2", "t2"), ("y3", "t2"), ("t2", "s3"),
+            ("s3", "t3"), ("t3", "s4"), ("t3", "z1"), ("t3", "z2"),
+            ("s4", "t4"), ("z1", "t4"), ("t4", "s5"),
+            ("s5", "t5"), ("z2", "t5"), ("t5", "s0"), ("t5", "x")]
+    net = PetriNet(["p", "s0", "s1", "s2", "s3", "s4", "s5", "x", "y1", "y2", "y3", "z1", "z2"],
+                   ["tp", "t0", "t1", "t2", "t3", "t4", "t5"], arcs)
+    rg = assert_same(net, Marking.of("p"), _limits(cap))
+    if cap is None:
+        assert rg.sizes == [1, 1, 4, 3, 1, 3, 2]
+        assert rg.verdict == "unbounded"
+        assert rg.unbounded_witness.stem == ("tp",)
+        assert rg.unbounded_witness.pump == ("t0", "t1", "t2", "t3", "t4", "t5")
+
+
+def test_truncated_and_unbounded_graphs_hold_every_mask(monkeypatch):
+    # the search wrote the mask of every state it found: reading them
+    # needs no rescan, so no net form is read after the search
+    graphs = [explore(*chain(30), ExplorationLimits(max_states=7)),
+              explore(*forkjoin(5), ExplorationLimits(max_states=20)),
+              explore(PetriNet(["p", "q"], ["src", "t"], [("src", "p"), ("p", "t"), ("t", "q")]),
+                      Marking.of("q"))]
+    assert [rg.verdict for rg in graphs] == ["truncated", "truncated", "unbounded"]
+    assert all(rg._expanded < len(rg.states) for rg in graphs)
+    monkeypatch.setattr(reachability, "compiled", None)
+    for rg in graphs:
+        bit = {t: 1 << k for k, t in enumerate(rg.net.transitions)}
+        assert rg.masks() == [sum(bit[t] for t in enabled_transitions(rg.net, m))
+                              for m in rg.states]
+
+
+def test_truncated_dead_transitions_label_no_explored_edge():
+    # p1 is found but not expanded: it enables a1 and b1, yet no explored
+    # edge carries them, so they are dead in the truncated graph
+    rg = assert_same(*chain(3), ExplorationLimits(max_states=2))
+    assert rg.verdict == "truncated" and rg.enabled(1) == {"a1", "b1"}
+    assert dead_transitions(rg.net, rg) == ("a1", "a2", "b1", "b2")

@@ -232,7 +232,7 @@ def test_graph_enabled_sets_match_net_scan():
     assert verdicts == {"complete", "truncated", "unbounded"}
 
 
-def test_graph_scans_only_unexpanded_states_once(n3, monkeypatch):
+def test_graph_masks_every_found_state_without_a_rescan(n3, monkeypatch):
     from lucentnet import enabled_transitions, reachability
     # a start that later puts two tokens on c, so the fields widen to 2
     widening = PetriNet(["a", "b", "c"], ["t1", "t2", "t3"],
@@ -244,22 +244,21 @@ def test_graph_scans_only_unexpanded_states_once(n3, monkeypatch):
               explore(widening, Marking.of("a"), ExplorationLimits(max_states=3)),
               explore(n3.net, n3.initial + Marking.of("zz", "zz"), ExplorationLimits(max_states=4))]
     assert graphs[3]._layout.width == 2 and graphs[4]._layout.extra
-    # a state the search did not finish expanding is scanned on its packed
-    # int, once: count the scans by the net form each one reads
+    # the search wrote the mask of every state it found, expanded or not:
+    # reading them reads no net form
     scans = []
     form = reachability.compiled
     monkeypatch.setattr(reachability, "compiled", lambda net: scans.append(net) or form(net))
-    counts = []
     for rg in graphs:
-        scans.clear()
-        for _ in range(2):
-            for i, m in enumerate(rg.states):
-                assert rg.enabled(i) == enabled_transitions(rg.net, m), (rg.net, m)
-        counts.append(len(scans))
-    # the first state of cut is expanded; the second stopped mid-way; the
-    # third was never expanded
-    assert counts[:2] == [0, 2] and cut._expanded == 1
-    assert counts == [len(rg.states) - rg._expanded for rg in graphs]
+        assert len(rg.masks()) == len(rg.states)
+        for i, m in enumerate(rg.states):
+            assert rg.enabled(i) == enabled_transitions(rg.net, m), (rg.net, m)
+    assert scans == []
+    # the first state of cut is expanded; the second stopped at its first
+    # new marking, and the third was never expanded: both enable
+    # transitions, but the edges are the explored ones only
+    assert cut._expanded == 1 and cut.mask(1) and cut.mask(2)
+    assert [len(cut.out_edges(i)) for i in range(3)] == [cut.mask(0).bit_count(), 0, 0]
 
 
 def kosaraju(succ):
