@@ -56,15 +56,16 @@ def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
     graph-reachable while one of its input places never gets marked, and
     such a transition never fires.
     """
+    pre, post = net._pre, net._post
     places = set(m0.support())
     transitions: set = set()
     changed = True
     while changed:
         changed = False
         for t in net.transitions:
-            if t not in transitions and net.preset(t) <= places:
+            if t not in transitions and places.issuperset(pre[t]):
                 transitions.add(t)
-                places |= net.postset(t)
+                places.update(post[t])
                 changed = True
     return frozenset(places | transitions)
 
@@ -215,8 +216,9 @@ def find_home_clusters(net: PetriNet, m0: Marking,
     details = []
     for detail, *ring in _cluster_walk(net, m0, limits, method, rg):
         del ring  # two live ring graphs would double peak memory
-        if _disagreement(detail):
-            raise TheoremViolation(_disagreement(detail))
+        reason = _disagreement(detail)
+        if reason:
+            raise TheoremViolation(reason)
         details.append(detail)
     return HomeClusterReport(tuple(d.cluster for d in details if d.is_home),
                              method, tuple(details))
@@ -252,23 +254,24 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     for cluster in net.clusters():
         marking = mrk(cluster)
         direct_v = sc_v = ring = ring_v = graph = None
+        # is_home_cluster_direct, probed once per cluster for both readings
+        home = rg.is_home(marking) if (want_direct or read) and rg.complete else None
         notes = []
         if want_direct:
-            # is_home_cluster_direct, on the marking built once per cluster
-            direct_v = rg.is_home(marking) if rg.complete else None
+            direct_v = home
             if direct_v is None:
                 notes.append("direct: exploration incomplete")
         if want_sc:
             if cleaned is None:
                 notes.append("short-circuit: not applicable to this net")
-            elif not set(cluster.nodes()) <= kept:
+            elif not (kept.issuperset(cluster.places) and kept.issuperset(cluster.transitions)):
                 notes.append("short-circuit: cluster does not survive cleaning")
             else:
                 try:
                     if rings or read is None:
                         ring = _attach_ring(cleaned, cluster, m0)
                         ring_v, graph = _ring_verdict(ring, m0, limits)
-                    sc_v = read(marking) if read else ring_v.value
+                    sc_v = read(marking, home) if read else ring_v.value
                     if sc_v is None:
                         notes.append("short-circuit: exploration incomplete")
                 except CleanedNetInvalid:
@@ -279,9 +282,10 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
 
 
 def _ring_reader(rg, cleaned, limits):
-    """The short-circuit verdict of a cluster, given its marking Mrk(C), read
-    off the complete base graph ``rg`` without exploring its ring; ``None``
-    when ``rg`` is not complete within the cap.
+    """The short-circuit verdict of a cluster, given its marking Mrk(C) and
+    whether ``rg`` holds it as a home marking, read off the complete base
+    graph ``rg`` without exploring its ring; ``None`` when ``rg`` is not
+    complete within the cap.
 
     The ring is the cleaned net, whose reachable markings are ``rg``'s, plus
     tC, and tC fired at M >= Mrk(C) gives M - Mrk(C) + m0.  So when some
@@ -297,11 +301,12 @@ def _ring_reader(rg, cleaned, limits):
     if not (rg.complete and len(rg.states) <= (limits or ExplorationLimits()).max_states):
         return None
     all_fire = not dead_transitions(cleaned, rg)
-    # a marking strictly above Mrk(C) holds more tokens than Mrk(C)
+    # a marking strictly above Mrk(C) holds more tokens than Mrk(C), which
+    # holds one per item
     fullest = max(rg.sizes)
-    return lambda marking: (
-        all_fire and rg.is_home(marking)
-        and (len(marking) >= fullest or rg.above(marking) is None))
+    return lambda marking, home: (
+        all_fire and home
+        and (len(marking.items) >= fullest or rg.above(marking) is None))
 
 
 def _disagreement(d: ClusterDetail) -> str:

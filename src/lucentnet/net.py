@@ -131,6 +131,11 @@ class PetriNet:
     (place<->transition only), duplicate arcs, and weak connectedness of
     the underlying graph, each in bulk; only a failed check loops over the
     items, to name the first offender.  Arc multiplicities are not supported.
+
+    Each node's preset and postset are kept as the lists construction
+    appends to, in arc order, and no list is changed afterwards: the
+    readers in this package iterate them or test them as sets, and
+    :meth:`preset`/:meth:`postset` build a frozenset per call.
     """
 
     __slots__ = ("places", "transitions", "flow", "_pre", "_post", "_nodes",
@@ -195,8 +200,7 @@ class PetriNet:
             raise NetStructureError(f"net is not weakly connected; unreachable from {nodes[0]}: "
                                     f"{sorted(set(nodes) - reached)}")
 
-        self._pre = {x: frozenset(s) for x, s in pre.items()}
-        self._post = {x: frozenset(s) for x, s in post.items()}
+        self._pre, self._post = pre, post
         self._place_set = frozenset(place_set)
         self._transition_set = frozenset(transition_set)
         self._compiled: Optional[Compiled] = None  # built on first use
@@ -212,6 +216,8 @@ class PetriNet:
         arcs to places, at least one arc); on a fault the full build runs
         and raises its :class:`NetStructureError`.  ``fresh`` joins the
         clusters of its input places, or stands alone when it has none.
+        The new net shares this one's preset and postset lists, except the
+        new ones of ``fresh`` and of the places it touches.
         """
         arcs = [(p, fresh) for p in inputs] + [(fresh, p) for p in outputs]
         flow = self.flow.union(arcs)
@@ -224,13 +230,13 @@ class PetriNet:
         net.transitions = tuple(sorted(self.transitions + (fresh,)))
         net._transition_set = self._transition_set | {fresh}
         net._nodes = nodes = self.places + net.transitions
-        ins, outs = frozenset(inputs), frozenset(outputs)
+        ins, outs = list(inputs), list(outputs)
         net._pre = pre = {x: self._pre.get(x, ins) for x in nodes}  # in node order
         net._post = post = {x: self._post.get(x, outs) for x in nodes}
         for p in inputs:
-            post[p] = post[p] | {fresh}
+            post[p] = post[p] + [fresh]
         for p in outputs:
-            pre[p] = pre[p] | {fresh}
+            pre[p] = pre[p] + [fresh]
         net._compiled = None
         joined = {self.cluster_of(p) for p in inputs}
         grown = Cluster(tuple(sorted(chain.from_iterable(c.places for c in joined))),
@@ -269,16 +275,18 @@ class PetriNet:
         return x in self._pre
 
     def preset(self, node: str) -> FrozenSet[str]:
-        """Input nodes of ``node`` under the flow relation."""
+        """Input nodes of ``node`` under the flow relation, as a frozenset
+        built on each call."""
         try:
-            return self._pre[node]
+            return frozenset(self._pre[node])
         except KeyError:
             raise NodeNotFound(f"unknown node {node!r}") from None
 
     def postset(self, node: str) -> FrozenSet[str]:
-        """Output nodes of ``node`` under the flow relation."""
+        """Output nodes of ``node`` under the flow relation, as a frozenset
+        built on each call."""
         try:
-            return self._post[node]
+            return frozenset(self._post[node])
         except KeyError:
             raise NodeNotFound(f"unknown node {node!r}") from None
 
@@ -355,9 +363,9 @@ class Compiled:
     the transitions with an empty preset, so the transitions a marking may
     enable are ``always`` plus the outputs of its marked places.
     ``dsize[t]`` is how many tokens firing t adds.  ``pre`` and ``post`` are
-    the net's own preset and postset maps; the form holds no reference to
-    the net, so the net and its form are freed together without waiting
-    for the cycle collector.
+    the net's own preset and postset maps, one list per node (never
+    changed); the form holds no reference to the net, so the net and its
+    form are freed together without waiting for the cycle collector.
     """
 
     __slots__ = ("transitions", "pre", "post", "place_index", "outs",
@@ -488,18 +496,20 @@ def is_free_choice(net: PetriNet) -> bool:
     Equivalent formulation used here: all output transitions of any single
     place share exactly the same preset.
     """
+    pre = net._pre
     for p in net.places:
-        ts = sorted(net.postset(p))
+        ts = net._post[p]
         if len(ts) > 1:
-            first = net.preset(ts[0])
-            if any(net.preset(t) != first for t in ts[1:]):
+            first = set(pre[ts[0]])
+            if any(set(pre[t]) != first for t in ts[1:]):
                 return False
     return True
 
 
 def is_proper(net: PetriNet) -> bool:
     """Every transition has at least one input and one output place."""
-    return all(net.preset(t) and net.postset(t) for t in net.transitions)
+    pre, post = net._pre, net._post
+    return all(pre[t] and post[t] for t in net.transitions)
 
 
 def _reachable(starts: Iterable[str], *steps: Mapping[str, Iterable[str]]) -> set:
@@ -535,9 +545,10 @@ def net_class(net: PetriNet) -> str:
     state-machine: every transition has exactly one input and one output place;
     free-choice / general otherwise.
     """
-    if all(len(net.preset(p)) <= 1 and len(net.postset(p)) <= 1 for p in net.places):
+    pre, post = net._pre, net._post
+    if all(len(pre[p]) <= 1 and len(post[p]) <= 1 for p in net.places):
         return "marked-graph"
-    if all(len(net.preset(t)) == 1 and len(net.postset(t)) == 1 for t in net.transitions):
+    if all(len(pre[t]) == 1 and len(post[t]) == 1 for t in net.transitions):
         return "state-machine"
     if is_free_choice(net):
         return "free-choice"

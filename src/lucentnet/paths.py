@@ -180,7 +180,7 @@ def find_rooted_path(net: PetriNet, m0: Marking, place: str, cluster,
     while frontier and hit is None:
         nxt = []
         for x in frontier:
-            for y in sorted(net.postset(x)):
+            for y in sorted(net._post[x]):
                 if y in prev:
                     continue
                 prev[y] = x

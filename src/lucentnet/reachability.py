@@ -59,6 +59,7 @@ TRUNCATED = "truncated"
 UNBOUNDED = "unbounded"
 
 DEFAULT_MAX_STATES = 100_000
+_DENSE = 64  # marks from which _Layout.marked scans a state's digits (measured crossover)
 
 
 @dataclass(frozen=True)
@@ -385,12 +386,14 @@ class _Layout:
             x = y = lose = gain = 0
             for p in pre:
                 x |= 1 << (at[p] * f)
-                if p not in post:  # a self-loop place keeps its count
-                    lose |= outs[p]
+                lose |= outs[p]
             for p in post:
                 y |= 1 << (at[p] * f)
-                if p not in pre:
-                    gain |= outs[p]
+                gain |= outs[p]
+            if x & y:  # a self-loop place keeps its count: leave it out
+                loops = set(pre).intersection(post)
+                lose = reduce(or_, (outs[p] for p in pre if p not in loops), 0)
+                gain = reduce(or_, (outs[p] for p in post if p not in loops), 0)
             self.need.append(x << w)
             self.delta.append(y - x)
             self.lose.append(lose)
@@ -409,10 +412,21 @@ class _Layout:
 
     def marked(self, s: int) -> list:
         """The indices of the places packed state ``s`` marks, in order (a
-        field of one value bit is its own mark)."""
+        field of one value bit is its own mark).
+
+        Each mark the bit loop takes costs a pass over the whole int, so a
+        state with ``_DENSE`` marks or more is read instead from its binary
+        digits, lowest first, one digit per field."""
         f = self.field
         bits = s if self.width == 1 else ((s | self.guard) - self.ones) & self.guard
         out = []
+        if bits.bit_count() >= _DENSE:
+            row = bin(bits)[:1:-1][0 if self.width == 1 else self.width::f]
+            i = row.find("1")
+            while i >= 0:
+                out.append(i)
+                i = row.find("1", i + 1)
+            return out
         while bits:
             bit = bits & -bits
             bits ^= bit

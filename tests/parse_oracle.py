@@ -15,8 +15,8 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def check_net(places, transitions, arcs):
     """Raise what ``PetriNet(places, transitions, arcs)`` raises, or return
-    the sorted places, the sorted transitions, the flow and the preset and
-    postset maps that it builds."""
+    the sorted places, the sorted transitions, the flow and each node's
+    preset and postset, as ``(node, sorted nodes)`` pairs in node order."""
     place_list = list(places)
     transition_list = list(transitions)
     arc_list = [tuple(a) for a in arcs]
@@ -73,7 +73,8 @@ def check_net(places, transitions, arcs):
     if len(reached) != len(nodes):
         missing = sorted(set(nodes) - reached)
         raise NetStructureError(f"net is not weakly connected; unreachable from {start}: {missing}")
-    return places, transitions, frozenset(seen), pre_f, post_f
+    return (places, transitions, frozenset(seen),
+            [(x, sorted(s)) for x, s in pre_f.items()], [(x, sorted(s)) for x, s in post_f.items()])
 
 
 def parse_net(text: str) -> NetDocument:

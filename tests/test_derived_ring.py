@@ -11,12 +11,18 @@ from lucentnet.net import compiled
 import ring_oracle
 
 
+def by_node(sets):
+    """A preset or postset map as ``(node, sorted nodes)`` pairs, in node
+    order: each set, with any repeat showing."""
+    return [(x, sorted(s)) for x, s in sets.items()]
+
+
 def assert_same_net(derived, built):
     assert derived == built and hash(derived) == hash(built)
     assert (derived.places, derived.transitions, derived.nodes()) == \
         (built.places, built.transitions, built.nodes())
-    assert list(derived._pre.items()) == list(built._pre.items())  # key order too
-    assert list(derived._post.items()) == list(built._post.items())
+    assert by_node(derived._pre) == by_node(built._pre)  # key order too
+    assert by_node(derived._post) == by_node(built._post)
     assert derived._place_set == built._place_set
     assert derived._transition_set == built._transition_set
     assert derived.clusters() == built.clusters()
@@ -39,6 +45,7 @@ def compare_rings(net, m0):
     keep = support_closure(net, m0)
     cleaned = clean(net, m0)
     assert_same_net(cleaned, ring_oracle.restrict(net, keep))
+    lists = by_node(cleaned._pre), by_node(cleaned._post)
     compared = 0
     for cluster in net.clusters():
         if not set(cluster.nodes()) <= keep:
@@ -50,6 +57,7 @@ def compare_rings(net, m0):
         else:
             assert_same_net(derived, built)
         compared += 1
+    assert (by_node(cleaned._pre), by_node(cleaned._post)) == lists  # rings share them
     return compared
 
 

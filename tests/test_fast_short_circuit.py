@@ -82,7 +82,7 @@ def assert_reader_matches_rings(net, m0, limits):
         except (ClusterNotConnected, CleanedNetInvalid):
             continue
         marking = mrk(cluster)
-        got = read(marking)
+        got = read(marking, rg.is_home(marking))
         assert got is verdict.value, cluster
         refuted += not got and rg.is_home(marking) and rg.above(marking) is not None
     return refuted
@@ -176,7 +176,7 @@ def test_dead_cleaned_transition():
     read = homecluster._ring_reader(rg, cleaned, None)
     for cluster in net.clusters():
         verdict, _ = homecluster._ring_verdict(short_circuit(net, cluster, m0), m0, None)
-        assert read(mrk(cluster)) is verdict.value is False, cluster
+        assert read(mrk(cluster), rg.is_home(mrk(cluster))) is verdict.value is False, cluster
     b = net.cluster_of("b")
     assert rg.is_home(mrk(b))
     assert find_home_clusters(net, m0, method="direct").home_clusters == (b,)
@@ -195,7 +195,7 @@ def test_truncated_or_oversized_base_graph_falls_back():
     assert full.complete and len(full.states) > 4
     p0 = net.cluster_of("p0")
     assert homecluster._ring_reader(full, homecluster.clean(net, m0), None)(
-        mrk(p0)) is True
+        mrk(p0), full.is_home(mrk(p0))) is True
     assert homecluster._ring_reader(full, homecluster.clean(net, m0), small) is None
     report = find_home_clusters(net, m0, small, method="short-circuit", rg=full)
     assert [d.short_circuit for d in report.details] == [

@@ -15,7 +15,7 @@ from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
                        all_reference_nets, dead_transitions, enabled_transitions,
                        explore, suite_nets)
 from lucentnet import reachability
-from lucentnet.net import enabled_list
+from lucentnet.net import compiled, enabled_list
 from lucentnet.textio import MAX_INIT_TOKENS
 import explore_oracle
 from test_fast_short_circuit import CAPS, forkjoin, ring
@@ -202,6 +202,23 @@ def test_enabled_list_is_place_driven_and_in_identifier_order():
             assert enabled_transitions(net, m) == frozenset(want)
 
 
+def test_chain_net_holds_under_700_kb():
+    # one list per node and direction: freezing the 3,002 presets and
+    # postsets of chain(500) into frozensets held 962,328 bytes
+    net, _ = chain(500)
+    args = (list(net.places), list(net.transitions), sorted(net.flow))
+    del net
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = PetriNet(*args)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(net.nodes()) == 1501
+    assert held < 700_000
+
+
 def test_graph_holds_at_most_24_bytes_per_edge():
     # the masks and flat successor list; one (name, j) tuple per edge, as
     # the graph kept before, took about 80 bytes per edge
@@ -300,6 +317,47 @@ def test_dominated_ancestor_above_a_run_of_fuller_ancestors(cap):
         assert rg.verdict == "unbounded"
         assert rg.unbounded_witness.stem == ("tp",)
         assert rg.unbounded_witness.pump == ("t0", "t1", "t2", "t3", "t4", "t5")
+
+
+def wide(n, loops):
+    """One transition t with inputs x_0..x_(n-1) and n outputs: the first
+    ``loops`` inputs are outputs too (self-loops), the rest go to y_i."""
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(loops, n)]
+    return PetriNet(xs + ys, ["t"], [(x, "t") for x in xs] + [("t", p) for p in xs[:loops] + ys])
+
+
+@pytest.mark.parametrize("cap", EDGE_CAPS)
+def test_wide_transition_with_self_loops(cap, widths):
+    # 2,000 inputs and 2,000 outputs, 50 places on both sides; a second
+    # token on a self-loop place runs the search at width 2
+    net = wide(2000, 50)
+    xs = [p for p in net.places if p.startswith("x")]
+    for m0 in (Marking.of(*xs), Marking.of("x0", *xs)):
+        rg = assert_same(net, m0, _limits(cap))
+        if cap is None:
+            assert rg.complete and rg.masks() == [1, 0]
+    assert set(widths) == {1, 2}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_dense_and_sparse_decodes_match_markings(width, monkeypatch):
+    # every state is decoded both by the bit loop and by the digit scan
+    # (_DENSE set to 10**9 and to 0), and by whichever the mark count picks
+    net, _ = ring(300)
+    layout = reachability._Layout(compiled(net), net.places, (), width)
+    rng = random.Random(width)
+    dense = reachability._DENSE
+    for marks in (0, 1, dense - 1, dense, dense + 1, 299, 300):
+        for _ in range(5):
+            m = Marking.from_counts({p: rng.randint(1, 2 ** width - 1)
+                                     for p in rng.sample(net.places, marks)})
+            s, _ = layout.pack(m)
+            want = sorted(layout.index[p] for p in m.support())
+            for switch in (10 ** 9, 0, dense):
+                monkeypatch.setattr(reachability, "_DENSE", switch)
+                assert layout.marked(s) == want
+                assert layout.marking(s) == m
 
 
 def test_truncated_and_unbounded_graphs_hold_every_mask(monkeypatch):

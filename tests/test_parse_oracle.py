@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lucentnet import (NetDocument, NetStructureError, ParseError, PetriNet, document_of,
                        parse_net, serialize_net)
 import parse_oracle
+from test_derived_ring import by_node
 from test_fast_short_circuit import forkjoin, ring
 from test_fuzz_cli import documents, mutated_documents
 from test_packed_explore import chain
@@ -26,7 +27,7 @@ def outcome(call, *args):
     except Exception as exc:  # the oracle says which exceptions are right
         return type(exc), str(exc), getattr(exc, "line", None)
     if isinstance(out, PetriNet):
-        return out.places, out.transitions, out.flow, out._pre, out._post
+        return out.places, out.transitions, out.flow, by_node(out._pre), by_node(out._post)
     if isinstance(out, NetDocument):  # equality covers every field
         return out, out.name, out.places, out.transitions, out.arcs
     return out
