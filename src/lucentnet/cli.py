@@ -91,6 +91,8 @@ def main(argv=None) -> int:
         limits = ExplorationLimits(max_states=args.max_states)
     except ValueError:
         parser.error("--max-states must be a positive integer")  # exits with 2
+    if args.command == "paper-suite" and args.random < 0:
+        parser.error("--random must be a non-negative integer")
 
     commands = {"analyze": _cmd_analyze, "lucency": _cmd_lucency, "reach": _cmd_reach,
                 "home-clusters": _cmd_home_clusters, "paper-suite": _cmd_suite}

@@ -522,7 +522,7 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
     # as a methods-agree or equivalence anomaly.  For home clusters the
     # ring's structure is judged too (a sink place reachable besides a
     # non-home cluster refutes its strong connectivity)
-    checked = fc and proper and m0.is_safe()
+    checked = homecluster._short_circuit_applies(net, m0)
     homes, conflict, struct_results, equiv_results = [], "", [], []
     for d, ring, ring_v, graph in homecluster._cluster_walk(net, m0, limits, "both", rg,
                                                           rings=True):

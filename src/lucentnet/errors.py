@@ -7,7 +7,12 @@ class LucentNetError(Exception):
 
 class NetStructureError(LucentNetError):
     """The net definition violates a structural invariant (bad identifiers,
-    dangling or duplicate arcs, overlapping node sets, disconnected graph)."""
+    dangling or duplicate arcs, overlapping node sets, disconnected graph).
+    ``nodes`` holds the nodes a disconnected graph leaves out, sorted."""
+
+    def __init__(self, message, nodes=()):
+        super().__init__(message)
+        self.nodes = tuple(nodes)
 
 
 class NodeNotFound(LucentNetError):

@@ -54,20 +54,23 @@ def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
 
     This refines plain graph reachability: a transition can be
     graph-reachable while one of its input places never gets marked, and
-    such a transition never fires.
+    such a transition never fires.  A worklist counts each transition's
+    inputs not yet in the set, so every arc is read once.
     """
     pre, post = net._pre, net._post
+    waiting = {t: len(pre[t]) for t in net.transitions}
     places = set(m0.support())
-    transitions: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for t in net.transitions:
-            if t not in transitions and places.issuperset(pre[t]):
-                transitions.add(t)
-                places.update(post[t])
-                changed = True
-    return frozenset(places | transitions)
+    todo = [p for p in places if p in net._place_set] + [t for t, n in waiting.items() if not n]
+    for x in todo:  # grows while it is read
+        for y in post[x]:
+            if y in waiting:  # x is a place in the set, y one of its output transitions
+                waiting[y] -= 1
+                if not waiting[y]:
+                    todo.append(y)
+            elif y not in places:  # x fires and marks its output place y
+                places.add(y)
+                todo.append(y)
+    return frozenset(places.union(t for t, n in waiting.items() if not n))
 
 
 def clean(net: PetriNet, m0: Marking) -> PetriNet:

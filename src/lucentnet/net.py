@@ -8,17 +8,19 @@ every witness produced downstream, is reproducible.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import NetStructureError, NodeNotFound, NotEnabled, NotEnabledAt
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_IDENTS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\n[A-Za-z_][A-Za-z0-9_]*)*\Z")  # "\n"-joined
-
 Arc = Tuple[str, str]
+
+
+def is_identifier(name: str) -> bool:
+    """An ASCII letter or underscore, then ASCII letters, digits and
+    underscores: ``str.isidentifier`` on ASCII text."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,10 @@ class Marking:
 
     @staticmethod
     def from_counts(counts: Mapping[str, int]) -> "Marking":
-        negative = sorted(p for p, n in counts.items() if n < 0)
-        if negative:
-            raise ValueError(f"negative token counts for {negative}")
+        """Zero counts are dropped; a count that is not an int >= 0 raises ValueError."""
+        bad = sorted(p for p, n in counts.items() if not isinstance(n, int) or n < 0)
+        if bad:
+            raise ValueError(f"token counts that are negative or not integers for {bad}")
         return Marking(tuple(sorted((p, int(n)) for p, n in counts.items() if n > 0)))
 
     def count(self, place: str) -> int:
@@ -149,13 +152,12 @@ class PetriNet:
         arc_list = list(map(tuple, arcs))
 
         names = place_list + transition_list
-        try:  # one regex over all names; a name holding "\n" reads as two
-            joined = "\n".join(names)
-            named = joined.count("\n") == len(names) - 1 and _IDENTS.match(joined)
+        try:  # is_identifier on every name at once
+            named = "".join(names).isascii() and all(map(str.isidentifier, names))
         except TypeError:  # a name that is not a str
             named = False
         for name in [] if named else names:
-            if not isinstance(name, str) or not _IDENT.match(name):
+            if not is_identifier(name):
                 raise NetStructureError(f"bad identifier: {name!r}")
         if not place_list or not transition_list:
             raise NetStructureError("a net needs at least one place and one transition")
@@ -197,8 +199,9 @@ class PetriNet:
 
         reached = _reachable([nodes[0]], pre, post)
         if len(reached) != len(nodes):
+            unreached = sorted(set(nodes) - reached)
             raise NetStructureError(f"net is not weakly connected; unreachable from {nodes[0]}: "
-                                    f"{sorted(set(nodes) - reached)}")
+                                    f"{unreached}", unreached)
 
         self._pre, self._post = pre, post
         self._place_set = frozenset(place_set)
@@ -221,7 +224,7 @@ class PetriNet:
         """
         arcs = [(p, fresh) for p in inputs] + [(fresh, p) for p in outputs]
         flow = self.flow.union(arcs)
-        if not (arcs and isinstance(fresh, str) and _IDENT.match(fresh)
+        if not (arcs and is_identifier(fresh)
                 and fresh not in self._pre and len(flow) == len(self.flow) + len(arcs)
                 and self._place_set.issuperset(chain(inputs, outputs))):
             return PetriNet(self.places, self.transitions + (fresh,), sorted(self.flow) + arcs)
@@ -296,35 +299,27 @@ class PetriNet:
     # -- clusters ---------------------------------------------------------
 
     def clusters(self) -> Tuple[Cluster, ...]:
-        """The cluster partition of all nodes, sorted by smallest place.
+        """The cluster partition of all nodes, sorted by smallest place (a
+        transition with no input place is a cluster sorted by its name).
 
-        Clusters are the connected components of the graph restricted to
-        place->transition arcs: a place drags in its output transitions,
-        a transition drags in its input places.
+        One labelling pass: a place binds its output transitions and a
+        transition its input places, transitively.
         """
         if self._clusters is None:
-            parent = {x: x for x in self._nodes}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for src, dst in self.flow:
-                if src in self._place_set:  # only place->transition arcs bind a cluster
-                    ra, rb = find(src), find(dst)
-                    if ra != rb:
-                        parent[ra] = rb
-
-            blocks: Dict[str, list] = {}
-            for x in self._nodes:
-                blocks.setdefault(find(x), []).append(x)
+            pre, post, places = self._pre, self._post, self._place_set
+            seen = set()
             clusters = []
-            for members in blocks.values():
-                ps = tuple(sorted(m for m in members if m in self._place_set))
-                ts = tuple(sorted(m for m in members if m not in self._place_set))
-                clusters.append(Cluster(ps, ts))
+            for x in self._nodes:
+                if x not in seen:
+                    seen.add(x)
+                    block = [x]
+                    for y in block:  # grows while it is read
+                        for z in post[y] if y in places else pre[y]:
+                            if z not in seen:
+                                seen.add(z)
+                                block.append(z)
+                    clusters.append(Cluster(tuple(sorted(filter(places.__contains__, block))),
+                                            tuple(sorted(z for z in block if z not in places))))
             self._set_clusters(sorted(clusters, key=Cluster.sort_key))
         return self._clusters
 
@@ -433,9 +428,13 @@ def enabled_transitions(net: PetriNet, m: Marking) -> FrozenSet[str]:
 
 
 def is_enabled(net: PetriNet, m: Marking, t: str) -> bool:
+    return _enabled_at(net, m._counts, t)
+
+
+def _enabled_at(net: PetriNet, counts: Mapping[str, int], t: str) -> bool:
+    """:func:`is_enabled` on a dict of positive counts."""
     if t not in net._transition_set:
         raise NodeNotFound(f"unknown transition {t!r}")
-    counts = m._counts  # positive counts only
     for p in net._pre[t]:
         if p not in counts:
             return False
@@ -462,7 +461,7 @@ def _fire_unchecked(net: PetriNet, m: Marking, t: str) -> Marking:
 
 def fire(net: PetriNet, m: Marking, t: str) -> Marking:
     """Fire ``t``: one token off each input place, one onto each output place."""
-    if not is_enabled(net, m, t):
+    if not _enabled_at(net, m._counts, t):
         raise NotEnabled(f"{t} is not enabled in {m.pretty()}")
     return _fire_unchecked(net, m, t)
 
@@ -493,17 +492,13 @@ def sequence_enabled(net: PetriNet, m: Marking, seq: Sequence[str]) -> bool:
 def is_free_choice(net: PetriNet) -> bool:
     """Any two transitions have equal or disjoint presets.
 
-    Equivalent formulation used here: all output transitions of any single
-    place share exactly the same preset.
+    Read off the clusters: a net is free-choice exactly when each
+    transition takes from every place of its cluster (Desel & Esparza,
+    *Free Choice Petri Nets*, 1995).  A transition's inputs lie in its
+    cluster and a preset holds no repeat, so the sizes decide.
     """
     pre = net._pre
-    for p in net.places:
-        ts = net._post[p]
-        if len(ts) > 1:
-            first = set(pre[ts[0]])
-            if any(set(pre[t]) != first for t in ts[1:]):
-                return False
-    return True
+    return all(len(pre[t]) == len(c.places) for c in net.clusters() for t in c.transitions)
 
 
 def is_proper(net: PetriNet) -> bool:

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (BadIndices, InvalidPath, NodeNotFound, NotEnabled,
-                     NotEnabledAt, UndecidedError)
-from .net import (Marking, PetriNet, _fire_counts, enabled_transitions, fire,
+from .errors import BadIndices, InvalidPath, NotEnabled, NotEnabledAt, UndecidedError
+from .net import (Marking, PetriNet, _enabled_at, _fire_counts, enabled_transitions, fire,
                   is_enabled, sequence_enabled, sequence_to_multiset)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            explore)
@@ -288,12 +287,7 @@ def _replay(net: PetriNet, trace: List[dict], seq: Tuple[str, ...], k: int) -> L
 def _step(net: PetriNet, counts: dict, t: str) -> Optional[dict]:
     """:func:`fire` on a count dict: the new counts, or None when ``t`` is
     not enabled."""
-    if t not in net._transition_set:
-        raise NodeNotFound(f"unknown transition {t!r}")
-    for p in net._pre[t]:
-        if p not in counts:
-            return None
-    return _fire_counts(net, counts, t)
+    return _fire_counts(net, counts, t) if _enabled_at(net, counts, t) else None
 
 
 def _closure_neighbors(net: PetriNet, seq: Tuple[str, ...], trace: List[dict]):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NetStructureError, ParseError
-from .net import Arc, Marking, PetriNet
+from .net import Arc, Marking, PetriNet, is_identifier
 
 MAX_INIT_TOKENS = 1_000_000
 
@@ -49,8 +49,7 @@ class NetDocument:
 def _ident(token: str, lineno: int, declared=()) -> str:
     if token in declared:  # a declared name is valid, so this check may come first
         raise ParseError(lineno, f"duplicate identifier {token!r}")
-    # an ASCII str.isidentifier() is exactly net._IDENT, and cheaper to test
-    if not (token.isascii() and token.isidentifier()):
+    if not is_identifier(token):
         raise ParseError(lineno, f"bad identifier {token!r}")
     return token
 
@@ -124,9 +123,9 @@ def parse_net(text: str) -> NetDocument:
     try:
         doc.to_net()
     except NetStructureError as exc:  # name the line declaring the first node listed
-        node = str(exc).partition("['")[2].partition("'")[0]
-        lineno = next((k for k, raw in enumerate(text.split("\n"), start=1) if node and
-                       raw.partition("#")[0].split()[:2] in (["place", node], ["trans", node])), 1)
+        node = exc.nodes[0] if exc.nodes else None
+        lineno = next((k for k, raw in enumerate(lines, start=1) if node and
+                       raw.split()[:2] in (["place", node], ["trans", node])), 1)
         raise ParseError(lineno, f"document does not describe a valid net: {exc}") from exc
     return doc
 

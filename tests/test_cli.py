@@ -160,6 +160,16 @@ def test_max_states_must_be_positive(value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_random_count_is_an_input_error(fmt, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper-suite", "--random", "-3", "--format", fmt])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--random must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "latin1.net"
     bad.write_bytes(b"net x\nplace p init 1\n# caf\xe9\ntrans t\narc p -> t\n")

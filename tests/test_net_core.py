@@ -54,8 +54,9 @@ def test_rejects_place_to_place_arc():
 
 
 def test_rejects_disconnected_graph():
-    with pytest.raises(NetStructureError):
+    with pytest.raises(NetStructureError) as err:
         PetriNet(["a", "b"], ["t", "u"], [("a", "t"), ("b", "u")])
+    assert err.value.nodes == ("b", "u")  # the nodes the message lists
 
 
 # -- marking multiset algebra --------------------------------------------------
@@ -68,6 +69,13 @@ def test_marking_normalizes_zero_counts():
 def test_marking_rejects_negative_counts():
     with pytest.raises(ValueError):
         Marking.from_counts({"a": -1})
+
+
+@pytest.mark.parametrize("count", [0.5, 1.5, "1", None, -1])
+def test_marking_rejects_non_integer_counts(count):
+    # 0.5 would be kept as an unmarked place, 1.5 truncated to one token
+    with pytest.raises(ValueError, match=r"negative or not integers for \['p'\]"):
+        Marking.from_counts({"a": 1, "p": count})
 
 
 def test_multiset_difference_and_size():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lucentnet import (NetDocument, NetStructureError, ParseError, PetriNet, document_of,
                        parse_net, serialize_net)
+from lucentnet.net import is_identifier
 import parse_oracle
 from test_derived_ring import by_node
 from test_fast_short_circuit import forkjoin, ring
@@ -166,8 +167,10 @@ def test_generated_constructor_inputs(places, transitions, arcs):
 
 
 def test_ascii_isidentifier_is_the_identifier_rule():
-    # the parser tests identifiers with str.isidentifier() on ASCII tokens
+    # the parser and the constructor test names with net.is_identifier,
+    # which is str.isidentifier() on ASCII text
     chars = [chr(c) for c in range(128)]
-    for token in chars + ["a" + c for c in chars] + [c + "a" for c in chars]:
+    for token in chars + ["a" + c for c in chars] + [c + "a" for c in chars] + ["é", "aé"]:
         want = bool(parse_oracle._IDENT.match(token))
-        assert (token.isascii() and token.isidentifier()) == want, repr(token)
+        assert is_identifier(token) == want, repr(token)
+    assert not is_identifier(1) and not is_identifier(None)
