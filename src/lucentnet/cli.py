@@ -186,7 +186,7 @@ def _cmd_reach(args, limits) -> int:
         payload = {
             "net": name,
             "verdict": rg.verdict,
-            "states": [rg.strings(i) for i in range(len(rg.states))],
+            "states": rg.rows(range(len(rg.states))),
             "edges": [[i, t, j] for i, t, j in rg.edges],
             "terminal_sccs": [list(c) for c in rg.terminal_sccs()],
         }

@@ -19,8 +19,11 @@ the low bits of t's preset and postset (``preg[t] = pre1[t] << w``):
 - t is enabled when ``marked & preg[t] == preg[t]``; only the initial
   state tests the outputs of all its marked places (plus the transitions
   with an empty preset);
-- firing t gives ``s - pre1[t] + post1[t]``; a count that outgrows its
-  field sets a guard bit, and the search then starts over at width ``2w``;
+- firing t gives ``s2 = s - pre1[t] + post1[t]``; a count that outgrows
+  its field sets a guard bit, and the search then starts over at width
+  ``2w``.  Only an ``s2`` missing from the index is tested: a count grows
+  by at most one per firing, so an overflowed ``s2`` has a guard bit set,
+  which no stored state has, and is never found;
 - a new state's enabled mask is derived from its parent's ``en``, once:
   firing t changes only the counts of the places it takes from and puts
   on (self-loop places aside), so only their outputs ``lose[t]`` and
@@ -47,7 +50,7 @@ from array import array
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from operator import or_
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -59,7 +62,12 @@ TRUNCATED = "truncated"
 UNBOUNDED = "unbounded"
 
 DEFAULT_MAX_STATES = 100_000
-_DENSE = 64  # marks from which _Layout.marked scans a state's digits (measured crossover)
+# _Layout.pick reads a state's digits from min(_DENSE, (places + 128) // 24)
+# marks on: the bit loop costs a pass over the int per mark, the digits one
+# pass and a byte per place.  Measured crossover (Python 3.11, x86-64): 6 marks
+# among 21 places, 10 among 64, 20 among 300, 41 among 1,000, 51-76 beyond
+_DENSE = 64
+_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit as a 0/1 byte for compress
 
 
 @dataclass(frozen=True)
@@ -140,12 +148,13 @@ class ReachabilityGraph:
         items = self.states.__dict__.get("_items")  # the states view, once built
         return self._layout.marking(self._packed[i]) if items is None else items[i]
 
-    def strings(self, i: int) -> List[str]:
-        """State ``i``'s ``place:count`` strings (``Marking.as_strings``)."""
+    def rows(self, indices) -> List[List[str]]:
+        """The ``place:count`` strings (``Marking.as_strings``) of each state of
+        ``indices``, read off the packed state unless fields are wider or ``extra``."""
         lay = self._layout
         if lay.extra or lay.width > 1:
-            return list(self.marking(i).as_strings())
-        return [lay.labels[j] for j in lay.marked(self._packed[i])]
+            return [list(self.marking(i).as_strings()) for i in indices]
+        return lay.pick(map(self._packed.__getitem__, indices), lay.labels)
 
     def index_of(self, m: Marking) -> Optional[int]:
         """The index of ``m``, or None when it was not explored."""
@@ -369,7 +378,7 @@ class _Layout:
     the net, carried by every state."""
 
     __slots__ = ("width", "field", "ones", "guard", "places", "index", "extra", "labels",
-                 "need", "delta", "lose", "gain")
+                 "dense", "need", "delta", "lose", "gain")
 
     def __init__(self, form, places, extra, w: int):
         f, at = w + 1, form.place_index
@@ -379,6 +388,7 @@ class _Layout:
         self.guard = self.ones << w
         self.places, self.index, self.extra = places, at, extra
         self.labels = [f"{p}:1" for p in places]  # the strings of a safe state
+        self.dense = min(_DENSE, (len(places) + 128) // 24)  # marks from which pick reads digits
         self.need, self.delta, self.lose, self.gain = [], [], [], []
         outs = form.outs_of
         for t in form.transitions:
@@ -410,28 +420,31 @@ class _Layout:
                 s = None if n >> self.width else s | n << (i * self.field)
         return s, tuple(foreign)
 
-    def marked(self, s: int) -> list:
-        """The indices of the places packed state ``s`` marks, in order (a
-        field of one value bit is its own mark).
-
-        Each mark the bit loop takes costs a pass over the whole int, so a
-        state with ``_DENSE`` marks or more is read instead from its binary
-        digits, lowest first, one digit per field."""
-        f = self.field
-        bits = s if self.width == 1 else ((s | self.guard) - self.ones) & self.guard
+    def pick(self, states, items: Sequence) -> List[list]:
+        """For each packed state, the items (one per place) at the places it
+        marks, in order.  Each mark the bit loop takes costs a pass over the
+        whole int, so a state with ``dense`` marks or more is read instead
+        from its binary digits, lowest first, one digit per field, as 0/1
+        bytes that ``compress`` selects the items by."""
+        f, w, guard, ones, dense = self.field, self.width, self.guard, self.ones, self.dense
+        first = ~w if w > 1 else -1  # the digit of field 0's mark, from the end of bin()
         out = []
-        if bits.bit_count() >= _DENSE:
-            row = bin(bits)[:1:-1][0 if self.width == 1 else self.width::f]
-            i = row.find("1")
-            while i >= 0:
-                out.append(i)
-                i = row.find("1", i + 1)
-            return out
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            out.append((bit.bit_length() - 1) // f)
+        for s in states:
+            bits = s if w == 1 else ((s | guard) - ones) & guard
+            if bits.bit_count() >= dense:
+                out.append(list(compress(items, bin(bits)[first:1:-f].encode().translate(_BYTES))))
+                continue
+            row = []
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                row.append(items[(bit.bit_length() - 1) // f])
+            out.append(row)
         return out
+
+    def marked(self, s: int) -> list:
+        """The indices of the places packed state ``s`` marks, in order."""
+        return self.pick((s,), range(len(self.places)))[0]
 
     def marking(self, s: int) -> Marking:
         f, w = self.field, self.width
@@ -498,10 +511,10 @@ def _search(form, layout: _Layout, s0: int, size0: int, max_states: int):
             rest ^= bit
             t = bit.bit_length() - 1
             s2 = s + delta[t]
-            if s2 & guard:
-                return None
             j = index.get(s2)
             if j is None:
+                if s2 & guard:
+                    return None
                 size2 = size + dsize[t]
                 # only an ancestor with fewer tokens can lie strictly below
                 # s2: hop over the runs of ancestors that hold as many

@@ -5,7 +5,8 @@ order and sorted collections, so identical inputs yield byte-identical
 JSON.  Every property verdict is three-valued: ``{"value": true|false|null}``
 plus whatever witness the negative or undecided case carries.  :func:`dumps`
 writes every JSON output of the CLI: the bytes of ``json.dumps(obj, indent=2)``,
-but before Python 3.13 each list of strings is one join over json's C encoder.
+but before Python 3.13 each list of strings, and each row of a list of string
+rows, is one join over json's C encoder.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ def _encode(o, nl: str) -> str:
     inner = nl + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)) and o:
-        if isinstance(o[0], str):
-            try:
+        try:  # TypeError: an item further on is not a string (or not a row of strings)
+            if isinstance(o[0], str):
                 return f"[{inner}{sep.join(map(_string, o))}{nl}]"
-            except TypeError:  # an item further on that is not a string
-                pass
+            if isinstance(o[0], (list, tuple)):
+                return f"[{inner}{sep.join(_rows(o, inner))}{nl}]"
+        except TypeError:
+            pass
         return f"[{inner}{sep.join([_encode(item, inner) for item in o])}{nl}]"
     if isinstance(o, str):
         return _string(o)
@@ -47,6 +50,17 @@ def _encode(o, nl: str) -> str:
     if o is None or o is True or o is False:
         return _CONSTANTS[o]
     return int.__repr__(o) if isinstance(o, int) else json.dumps(o)
+
+
+def _rows(rows, nl: str) -> list:
+    """Each row of strings as ``_encode`` writes it at indent ``nl``; TypeError on a non-row."""
+    head, sep, tail = "[" + nl + "  ", "," + nl + "  ", nl + "]"
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise TypeError("not a row")
+        out.append(head + sep.join(map(_string, row)) + tail if row else "[]")
+    return out
 
 
 def dumps(obj) -> str:
@@ -110,7 +124,7 @@ def build_report(name: str, net: PetriNet, m0: Marking,
                           "dead_markings": [_marking(m) for m in (deadlock_free.witness or ())]},
         "dead_places": list(dead_places(net, rg)) if complete else None,
         "dead_transitions": list(dead_transitions(net, rg)) if complete else None,
-        "home_markings": [rg.strings(i) for i in rg.homes()] if complete else None,
+        "home_markings": rg.rows(rg.homes()) if complete else None,
         "perpetual": {"value": perpetual.value},
     }
 

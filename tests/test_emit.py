@@ -3,7 +3,8 @@
 Before Python 3.13 ``dumps`` writes JSON by hand (``report._encode``); from
 3.13 on it is ``json.dumps`` itself.  The hand path is checked on every
 version: on every golden output and on generated values that hold escapes,
-large numbers, empty and nested containers and mixed lists.
+large numbers, empty and nested containers and mixed lists, and on lists of
+string rows (written one join per row) mixed with items that are not rows.
 """
 
 import json
@@ -33,6 +34,12 @@ VALUES = st.recursive(
                                st.lists(TEXT, max_size=5),
                                st.lists(st.one_of(TEXT, children), max_size=5)),
     max_leaves=30)
+# lists whose first item is a row of strings, as the report's markings are,
+# mixed with strings, dicts, tuples, scalars and rows that hold a non-string
+ROWS = st.lists(st.one_of(st.lists(TEXT, max_size=4), st.lists(TEXT, max_size=4).map(tuple),
+                          TEXT, st.dictionaries(TEXT, SCALARS, max_size=2), SCALARS,
+                          st.lists(st.one_of(TEXT, SCALARS), max_size=3)),
+                max_size=6).map(lambda rest: [["a", "b"]] + rest)
 
 
 def by_hand(obj):
@@ -55,7 +62,28 @@ def test_generated_values_match_json_dumps(obj):
     assert report.dumps(obj) == expected
 
 
-@pytest.mark.parametrize("obj", [{(1,): 0}, [set()], {"a": ["b", object()]}])
+@pytest.mark.parametrize("obj", [[["a"], "bc"], [["a"], {"k": 1}], [["a"], []], [[], ["a"]],
+                                 [["a"], ("b",)], [["a"], ["b", 1]], [("a", "b"), ["c"]],
+                                 {"rows": [["a:1", "b:1"], ["c:1"]], "k": [[["a"]], [[]]]}])
+def test_string_rows_match_json_dumps(obj):
+    # a list whose first item is a row of strings is written one join per
+    # row; any item that is not a list or tuple of strings takes the
+    # general path
+    expected = json.dumps(obj, indent=2)
+    assert by_hand(obj) == expected
+    assert report.dumps(obj) == expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=ROWS)
+def test_generated_rows_match_json_dumps(obj):
+    expected = json.dumps(obj, indent=2)
+    assert by_hand(obj) == expected
+    assert by_hand({"k": [obj]}) == json.dumps({"k": [obj]}, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{(1,): 0}, [set()], {"a": ["b", object()]},
+                                 [["a"], [object()]], [["a"], object()]])
 def test_what_json_cannot_write_raises_type_error(obj):
     with pytest.raises(TypeError):
         json.dumps(obj, indent=2)

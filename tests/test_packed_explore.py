@@ -296,6 +296,19 @@ def test_widening_restart_in_the_middle_of_the_search(cap, widths):
         assert widths == [1]  # every cap stops the search before c gets two
 
 
+def test_widening_after_an_edge_to_a_found_state(widths):
+    # expanding {b, c}: t2 leads back to {a, c}, found before, and only
+    # then t3 puts a second token on c; the guard bits of a successor are
+    # tested only when it is new, so the restart must still happen there
+    net = PetriNet(["a", "b", "c"], ["t1", "t2", "t3"],
+                   [("a", "t1"), ("t1", "b"), ("b", "t2"), ("t2", "a"),
+                    ("b", "t3"), ("t3", "c")])
+    rg = assert_same(net, Marking.of("a", "c"))
+    assert widths == [1, 2]
+    assert rg.complete and rg.out_edges(1) == [("t2", 0), ("t3", 2)]
+    assert rg.states[2] == Marking.of("c", "c")
+
+
 @pytest.mark.parametrize("cap", EDGE_CAPS)
 def test_dominated_ancestor_above_a_run_of_fuller_ancestors(cap):
     # one path: [p] -> [s0] (1 token) -> 4 -> 3 -> [s3] (1) -> 3 -> 2 ->
@@ -341,13 +354,15 @@ def test_wide_transition_with_self_loops(cap, widths):
 
 
 @pytest.mark.parametrize("width", [1, 2])
-def test_dense_and_sparse_decodes_match_markings(width, monkeypatch):
+def test_dense_and_sparse_decodes_match_markings(width):
     # every state is decoded both by the bit loop and by the digit scan
-    # (_DENSE set to 10**9 and to 0), and by whichever the mark count picks
+    # (the layout's threshold set to 10**9 and to 0), and by whichever the
+    # mark count picks
     net, _ = ring(300)
     layout = reachability._Layout(compiled(net), net.places, (), width)
     rng = random.Random(width)
-    dense = reachability._DENSE
+    dense = layout.dense
+    assert 0 < dense < 300
     for marks in (0, 1, dense - 1, dense, dense + 1, 299, 300):
         for _ in range(5):
             m = Marking.from_counts({p: rng.randint(1, 2 ** width - 1)
@@ -355,7 +370,7 @@ def test_dense_and_sparse_decodes_match_markings(width, monkeypatch):
             s, _ = layout.pack(m)
             want = sorted(layout.index[p] for p in m.support())
             for switch in (10 ** 9, 0, dense):
-                monkeypatch.setattr(reachability, "_DENSE", switch)
+                layout.dense = switch
                 assert layout.marked(s) == want
                 assert layout.marking(s) == m
 

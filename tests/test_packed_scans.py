@@ -44,7 +44,7 @@ def _nets():
 def assert_scans_match(net, m0, limits=None):
     rg = explore(net, m0, limits)
     g = explore_oracle.explore(net, m0, limits)
-    assert [rg.strings(i) for i in range(len(rg.states))] == scan_oracle.strings(g)
+    assert rg.rows(range(len(rg.states))) == scan_oracle.strings(g)
     assert max(rg.sizes) == scan_oracle.fullest(g)
     assert dead_places(net, rg) == scan_oracle.dead_places(net, g)
     assert dead_transitions(net, rg) == scan_oracle.dead_transitions(net, g)
@@ -74,6 +74,55 @@ def test_packed_scans_match_marking_scans():
         for limits in (None, ExplorationLimits(max_states=5)):
             verdicts.add(assert_scans_match(net, m0, limits))
     assert verdicts == {"complete", "truncated", "unbounded"}
+
+
+def _row_nets():
+    yield from ((ref.net, ref.initial) for ref in all_reference_nets())
+    yield from ((net, m0) for _, net, m0 in suite_nets(random_count=60, seed=7))
+    net, m0 = ring(5)
+    yield net, m0 + m0  # width 2 from the start
+    yield PetriNet(["a", "b", "c"], ["t1", "t2", "t3"],  # widens from 1 to 2
+                   [("a", "t1"), ("t1", "b"), ("t1", "c"),
+                    ("b", "t2"), ("t2", "c"), ("c", "t3")]), Marking.of("a")
+    net, m0 = ring(4)
+    yield net, m0 + Marking.of("zz", "zz", "aa")  # places outside the net
+    yield countdown(100)
+
+
+def countdown(n):
+    """t_i takes k_i and d_i and puts k_(i+1): one line of states, holding
+    n + 1 marks down to 1 among 2n + 1 places."""
+    arcs = [a for i in range(n) for a in ((f"k{i}", f"t{i}"), (f"d{i}", f"t{i}"),
+                                          (f"t{i}", f"k{i + 1}"))]
+    net = PetriNet([f"k{i}" for i in range(n + 1)] + [f"d{i}" for i in range(n)],
+                   [f"t{i}" for i in range(n)], arcs)
+    return net, Marking.of("k0", *(f"d{i}" for i in range(n)))
+
+
+def test_rows_match_marking_strings():
+    # every state's row, by the digit reader, by the bit loop, and by the
+    # one its mark count picks, against the strings of the oracle's markings
+    crossed = False
+    for net, m0 in _row_nets():
+        rg = explore(net, m0)
+        want = scan_oracle.strings(explore_oracle.explore(net, m0))
+        lay = rg._layout
+        crossed |= lay.width == 1 and min(rg.sizes) < lay.dense <= max(rg.sizes)
+        for dense in (lay.dense, 0, 10 ** 9):
+            lay.dense = dense
+            assert rg.rows(range(len(want))) == want
+            assert rg.rows(reversed(range(len(want)))) == want[::-1]
+            assert rg.rows([]) == []
+    assert crossed  # some graph has states on both sides of the crossover
+
+
+def test_rows_of_a_net_with_100000_places():
+    # the scale smoke's wide net: t takes x_0..x_49999 and puts y_0..y_49999
+    n = 50_000
+    xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+    net = PetriNet(xs + ys, ["t"], [(x, "t") for x in xs] + [("t", y) for y in ys])
+    rg = explore(net, Marking.of(*xs))
+    assert rg.rows([0, 1]) == [[f"{p}:1" for p in sorted(xs)], [f"{p}:1" for p in sorted(ys)]]
 
 
 def assert_lookups_match(net, m0, queries=(), limits=None):
