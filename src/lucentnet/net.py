@@ -428,22 +428,17 @@ def enabled_transitions(net: PetriNet, m: Marking) -> FrozenSet[str]:
 
 
 def is_enabled(net: PetriNet, m: Marking, t: str) -> bool:
-    return _enabled_at(net, m._counts, t)
-
-
-def _enabled_at(net: PetriNet, counts: Mapping[str, int], t: str) -> bool:
-    """:func:`is_enabled` on a dict of positive counts."""
     if t not in net._transition_set:
         raise NodeNotFound(f"unknown transition {t!r}")
+    counts = m._counts
     for p in net._pre[t]:
         if p not in counts:
             return False
     return True
 
 
-def _fire_counts(net: PetriNet, counts: Mapping[str, int], t: str) -> Dict[str, int]:
-    """Fire ``t`` on a dict of positive counts, unchecked: a new dict."""
-    out = dict(counts)
+def _fire_unchecked(net: PetriNet, m: Marking, t: str) -> Marking:
+    out = dict(m._counts)
     for p in net._pre[t]:
         n = out[p] - 1
         if n:
@@ -452,16 +447,12 @@ def _fire_counts(net: PetriNet, counts: Mapping[str, int], t: str) -> Dict[str, 
             del out[p]
     for p in net._post[t]:
         out[p] = out.get(p, 0) + 1
-    return out
-
-
-def _fire_unchecked(net: PetriNet, m: Marking, t: str) -> Marking:
-    return Marking(tuple(sorted(_fire_counts(net, m._counts, t).items())))
+    return Marking(tuple(sorted(out.items())))
 
 
 def fire(net: PetriNet, m: Marking, t: str) -> Marking:
     """Fire ``t``: one token off each input place, one onto each output place."""
-    if not _enabled_at(net, m._counts, t):
+    if not is_enabled(net, m, t):
         raise NotEnabled(f"{t} is not enabled in {m.pretty()}")
     return _fire_unchecked(net, m, t)
 

@@ -11,17 +11,9 @@ transition forward when (a) the rewritten prefix is still enabled and
 positions in this module are 1-based, matching the usual subscript
 notation for sequences.
 
-A sequence is fired once and its *trace* kept: the marking before every
-position and after the last, as count dicts.  The marking before position
-i is a fact of the prefix alone, so (a) holds for the move (i, j) iff the
-mover is enabled at the trace's marking before i; with the cluster of
-every position taken once per sequence, a candidate move is decided in
-time independent of the sequence's length, where replaying its prefix
-took O(n) firings.  A variant shares its first i - 1 positions with the
-sequence it was rewritten from, so it is replayed from the marking before
-i only, checking every step to the end, and carries the trace it gets
-into the next round of moves.  :func:`expedited_member` and
-:func:`verify_expedite_safe` read one closure search, :func:`_variants`.
+Each candidate move replays its prefix, and each variant is fired again
+from the start.  :func:`expedited_member` and :func:`verify_expedite_safe`
+read one closure search, :func:`_variants`.
 """
 
 from __future__ import annotations
@@ -30,9 +22,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BadIndices, InvalidPath, NotEnabled, NotEnabledAt, UndecidedError
-from .net import (Marking, PetriNet, _enabled_at, _fire_counts, enabled_transitions, fire,
-                  is_enabled, sequence_enabled, sequence_to_multiset)
+from .errors import BadIndices, InvalidPath, NotEnabled, UndecidedError
+from .net import (Marking, PetriNet, enabled_transitions, fire, fire_sequence, is_enabled,
+                  sequence_enabled, sequence_to_multiset)
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            explore)
 
@@ -238,10 +230,9 @@ def can_expedite(net: PetriNet, m: Marking, seq: Sequence[str], i: int, j: int) 
     the j-th one's cluster may occur at positions i..j-1."""
     _check_indices(seq, i, j)
     s = tuple(seq)
-    trace = _trace(net, m, s)
-    if len(trace) <= len(s):
+    if not sequence_enabled(net, m, s):
         raise NotEnabled("the sequence itself is not enabled")
-    return any(move == (i, j) for move, _ in _closure_neighbors(net, s, trace))
+    return any(move == (i, j) for move, _ in _moves(net, m, s))
 
 
 @dataclass(frozen=True)
@@ -261,69 +252,36 @@ class Expedition:
         return seq
 
 
-def _trace(net: PetriNet, m: Marking, seq: Tuple[str, ...]) -> List[dict]:
-    """The markings from ``m`` before every position of ``seq`` and after
-    its last, as far as it fires (see :func:`_replay`)."""
-    return _replay(net, [m._counts], seq, 0)
-
-
-def _replay(net: PetriNet, trace: List[dict], seq: Tuple[str, ...], k: int) -> List[dict]:
-    """The trace of ``seq`` that shares ``trace[:k + 1]``, the markings
-    before its first ``k + 1`` positions, as count dicts: ``seq[k:]`` is
-    fired step by step from ``trace[k]``.  It stops at the first step that
-    is not enabled, so it holds ``len(seq) + 1`` markings exactly when the
-    whole sequence fires.  Count dicts hold positive counts only and are
-    never changed once in a trace, so traces share them."""
-    out = trace[:k + 1]
-    counts = out[k]
-    for t in seq[k:]:
-        counts = _step(net, counts, t)
-        if counts is None:
-            break
-        out.append(counts)
-    return out
-
-
-def _step(net: PetriNet, counts: dict, t: str) -> Optional[dict]:
-    """:func:`fire` on a count dict: the new counts, or None when ``t`` is
-    not enabled."""
-    return _fire_counts(net, counts, t) if _enabled_at(net, counts, t) else None
-
-
-def _closure_neighbors(net: PetriNet, seq: Tuple[str, ...], trace: List[dict]):
+def _moves(net: PetriNet, m: Marking, seq: Tuple[str, ...]):
     """All single expedite moves applicable to a sequence, in order of
-    ``j``, then of ``i`` downward, read off its trace (see :func:`_replay`):
-    move (i, j) is legal iff ``trace[i - 1]`` exists and enables the mover
-    and no transition of the mover's cluster sits at positions i..j-1."""
+    ``j``, then of ``i`` downward: move (i, j) is legal iff the mover fires
+    after ``seq[:i - 1]`` and no transition of its cluster sits at
+    positions i..j-1."""
     cl = [net.cluster_of(t) for t in seq]
-    fired = len(trace)
     for j in range(2, len(seq) + 1):
         mover = seq[j - 1]
-        c = cl[j - 1]
-        need = net._pre[mover]
         for i in range(j - 1, 0, -1):
             # walking i downward: once a same-cluster transition appears at
             # position i, smaller i are blocked too
-            if cl[i - 1] is c:
+            if cl[i - 1] is cl[j - 1]:
                 break
-            if i <= fired and all(p in trace[i - 1] for p in need):
+            if sequence_enabled(net, m, seq[:i - 1] + (mover,)):
                 yield (i, j), expedite(seq, i, j)
 
 
-def _variants(net: PetriNet, seq: Tuple[str, ...], trace: List[dict]):
+def _variants(net: PetriNet, m: Marking, seq: Tuple[str, ...]):
     """Every expedited variant of ``seq`` once, breadth-first over single
-    moves in :func:`_closure_neighbors` order, with its trace replayed from
-    where it diverges (see :func:`_replay`)."""
+    moves in :func:`_moves` order."""
     seen = {seq}
-    frontier = [(seq, trace)]
+    frontier = [seq]
     while frontier:
         nxt = []
-        for s, trace in frontier:
-            for (i, _), rewritten in _closure_neighbors(net, s, trace):
+        for s in frontier:
+            for _, rewritten in _moves(net, m, s):
                 if rewritten not in seen:
                     seen.add(rewritten)
-                    nxt.append((rewritten, _replay(net, trace, rewritten, i - 1)))
-                    yield nxt[-1]
+                    nxt.append(rewritten)
+                    yield rewritten
         frontier = nxt
 
 
@@ -340,8 +298,7 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
     """
     base = tuple(base)
     candidate = tuple(candidate)
-    trace = _trace(net, m, base)
-    if len(trace) <= len(base):
+    if not sequence_enabled(net, m, base):
         raise NotEnabled("base sequence is not enabled")
     if base == candidate:
         return Verdict(True)
@@ -349,7 +306,7 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
         return Verdict(False, reason="not a permutation of the base")
     if not sequence_enabled(net, m, candidate):
         return Verdict(False, reason="candidate is not enabled")
-    for spent, (variant, _) in enumerate(_variants(net, base, trace), 1):
+    for spent, variant in enumerate(_variants(net, m, base), 1):
         if variant == candidate:
             return Verdict(True)
         if spent >= budget:
@@ -406,21 +363,20 @@ def verify_expedite_safe(net: PetriNet, m: Marking, seq: Sequence[str],
     (breadth-first over single moves, deterministic order) and check that
     each is enabled and reaches the same final marking.
 
-    Each variant is fired from where it leaves its parent, on the parent's
-    trace, and compared with the marking the base sequence reached.  This
-    cannot fail on any net: a legal mover's preset is disjoint from those it
-    overtakes, so the variant stays enabled and ends on the same marking.
-    A pass is no evidence for the free-choice hypothesis."""
+    Each variant is fired from ``m`` and compared with the marking the base
+    sequence reaches.  This cannot fail on any net: a legal mover's preset
+    is disjoint from those it overtakes, so the variant stays enabled and
+    ends on the same marking.  A pass is no evidence for the free-choice
+    hypothesis."""
     seq = tuple(seq)
-    trace = _trace(net, m, seq)
-    if len(trace) <= len(seq):
-        k = len(trace) - 1
-        raise NotEnabledAt(k, seq[k])
+    expected = fire_sequence(net, m, seq)
     checked = 0
-    for variant, replayed in islice(_variants(net, seq, trace), max(samples, 0)):
-        if len(replayed) <= len(variant):
+    for variant in islice(_variants(net, m, seq), max(samples, 0)):
+        try:
+            reached = fire_sequence(net, m, variant)
+        except NotEnabled:
             return Verdict(False, witness=variant, reason="variant not enabled")
-        if replayed[-1] != trace[-1]:
+        if reached != expected:
             return Verdict(False, witness=variant, reason="final marking differs")
         checked += 1
     return Verdict(True, witness=checked)

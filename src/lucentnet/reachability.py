@@ -193,10 +193,6 @@ class ReachabilityGraph:
     def out_edges(self, i: int) -> Sequence[Tuple[str, int]]:
         return list(zip(self.names(self._masks[i]), self._succ[self._start[i]:self._start[i + 1]]))
 
-    def mask(self, i: int) -> int:
-        """Enabled set of a state as a mask."""
-        return self._masks[i]
-
     def masks(self) -> List[int]:
         """The enabled mask of every state, in state order."""
         return self._masks
@@ -222,8 +218,8 @@ class ReachabilityGraph:
         return reduce(or_, map(outs.__getitem__, self._layout.marked(self._packed[i])), 0)
 
     def enabled(self, i: int) -> FrozenSet[str]:
-        """Enabled set of a state, by name (see :meth:`mask`)."""
-        return frozenset(self.names(self.mask(i)))
+        """Enabled set of a state, by name (see :meth:`masks`)."""
+        return frozenset(self.names(self._masks[i]))
 
     def homes(self) -> Tuple[int, ...]:
         """The states of the terminal SCC if it is unique: home markings lie in every one."""
@@ -600,12 +596,22 @@ def bound_k(net: PetriNet, m0: Marking,
         return BoundednessResult("unbounded", witness=rg.unbounded_witness)
     if rg.verdict == TRUNCATED:
         return BoundednessResult("unknown")
-    # raise k while some field of a state is above k: one subtraction a state
+    # a field of s is above k iff its guard bit survives ((s | G) - (k + 1) * ONES):
+    # one subtraction a state, and a binary search up to 2^w - 1 when one is
     lay = rg._layout
-    k, step = 0, lay.ones
+    ones, guard = lay.ones, lay.guard
+    k, step = 0, ones
     for s in rg._packed:
-        while ((s | lay.guard) - step) & lay.guard:
-            k, step = k + 1, step + lay.ones
+        s |= guard
+        if (s - step) & guard:
+            lo, hi = k + 1, (1 << lay.width) - 1  # the largest field of s lies in [lo, hi]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if (s - (mid + 1) * ones) & guard:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            k, step = lo, (lo + 1) * ones
     return BoundednessResult("bounded", k=max([k] + [n for _, n in lay.extra]))
 
 

@@ -1,6 +1,6 @@
-"""The expediting code that the trace-based ``paths`` functions replaced,
-kept as their test oracle: each candidate move replays its whole prefix
-with checked firing, and each variant is fired again from the start."""
+"""The expediting calculus written out plainly, kept as the test oracle of
+the ``paths`` functions: each candidate move replays its whole prefix with
+checked firing, and each variant is fired again from the start."""
 
 from typing import Iterable, Sequence, Tuple
 

@@ -133,7 +133,7 @@ def test_suite_replays_no_expedited_sequence(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the suite replayed an expedited sequence")
 
-    monkeypatch.setattr(paths, "_replay", forbidden)
+    monkeypatch.setattr(paths, "_variants", forbidden)
     monkeypatch.setattr(paths, "verify_expedite_safe", forbidden)
     report = run_theorem_suite(suite_nets(random_count=30, seed=1))
     assert report.ok, report.anomalies

@@ -1,6 +1,6 @@
-"""The trace-based expediting in ``paths`` against the prefix-replay code it
-replaced (``expedite_oracle``), and a firing count that pins the cost of
-one ``verify_expedite_safe`` call."""
+"""The expediting in ``paths`` against its reference (``expedite_oracle``)
+on reference nets, random free-choice and non-free-choice nets, and seeded
+random walks fired on each."""
 
 import random
 
@@ -32,7 +32,7 @@ def walks(net, m0, seed, count=10, max_len=8):
 def assert_same(net, m0, walk, deep=True):
     """Moves, legality and verdicts agree with the oracle on one walk."""
     moves = list(expedite_oracle.closure_neighbors(net, m0, walk))
-    assert list(paths._closure_neighbors(net, walk, paths._trace(net, m0, walk))) == moves
+    assert list(paths._moves(net, m0, walk)) == moves
     legal = {move for move, _ in moves}
     n = len(walk)
     for j in range(2, n + 1):
@@ -88,19 +88,11 @@ def test_non_free_choice_nets_match_oracle():
     assert moved > 100
 
 
-def _careless_oracle(net, m, seq):
-    """The oracle's moves without the cluster rule."""
+def _careless_moves(net, m, seq):
+    """Expedite moves without the cluster rule."""
     for j in range(2, len(seq) + 1):
         for i in range(j - 1, 0, -1):
             if paths.sequence_enabled(net, m, seq[:i - 1] + (seq[j - 1],)):
-                yield (i, j), paths.expedite(seq, i, j)
-
-
-def _careless_trace(net, seq, trace):
-    """The trace-based moves without the cluster rule."""
-    for j in range(2, len(seq) + 1):
-        for i in range(j - 1, 0, -1):
-            if i <= len(trace) and all(p in trace[i - 1] for p in net.preset(seq[j - 1])):
                 yield (i, j), paths.expedite(seq, i, j)
 
 
@@ -108,7 +100,7 @@ def test_failing_branch_matches_oracle(monkeypatch):
     # a legal move never disables a sequence or changes its final marking
     # (the mover's preset is disjoint from those it overtakes), so only moves
     # that break the cluster rule reach the "variant not enabled" branch
-    monkeypatch.setattr(paths, "_closure_neighbors", _careless_trace)
+    monkeypatch.setattr(paths, "_moves", _careless_moves)
     reasons = set()
     nets = non_free_choice_nets(100, seed=5)
     nets += [(ref.net, ref.initial) for ref in all_reference_nets()]
@@ -117,7 +109,7 @@ def test_failing_branch_matches_oracle(monkeypatch):
             for samples in (0, 1, 5, 50):
                 got = paths.verify_expedite_safe(net, m0, walk, samples)
                 want = expedite_oracle.verify_expedite_safe(net, m0, walk, samples,
-                                                            neighbors=_careless_oracle)
+                                                            neighbors=_careless_moves)
                 assert got == want
                 reasons.add(got.reason)
     assert reasons == {"", "variant not enabled"}
@@ -175,45 +167,3 @@ def test_base_errors_match_fire_sequence(n5):
         paths.verify_expedite_safe(n5.net, n5.initial, ("t2", "zz"))
     with pytest.raises(NotEnabled):
         paths.expedited_member(n5.net, n5.initial, ("t5",), ("t5",))
-
-
-# -- the cost of one verify_expedite_safe call -----------------------------------
-
-
-def test_each_variant_is_fired_from_where_it_diverges(monkeypatch):
-    """At most ``len(seq)`` firings for the base plus ``len(seq) - i + 1``
-    per variant replayed from position i, and no prefix replay."""
-    fired = []
-    moves = []
-    step = paths._step
-    neighbors = paths._closure_neighbors
-
-    def counting(net, counts, t):
-        fired.append(t)
-        return step(net, counts, t)
-
-    def recording(net, seq, trace):
-        for move, rewritten in neighbors(net, seq, trace):
-            moves.append((move, rewritten))
-            yield move, rewritten
-
-    def forbidden(*args):
-        raise AssertionError("prefix replay")
-
-    monkeypatch.setattr(paths, "_step", counting)
-    monkeypatch.setattr(paths, "_closure_neighbors", recording)
-    monkeypatch.setattr(paths, "sequence_enabled", forbidden)
-    monkeypatch.setattr(paths, "fire", forbidden)
-    net, m0 = forkjoin(4)
-    seq = ("tf", "tx0", "ty1", "tx2", "ty3", "tj", "tf", "tx3", "tx2")
-    for samples in (5, 50, 10_000):
-        del fired[:], moves[:]
-        v = paths.verify_expedite_safe(net, m0, seq, samples)
-        first = {}
-        for (i, _), rewritten in moves:
-            if rewritten != seq:
-                first.setdefault(rewritten, i)
-        assert v.value is True and v.witness == len(first) <= samples
-        n = len(seq)
-        assert len(fired) <= n + sum(n - i + 1 for i in first.values())
-    assert 5 < len(first) < 10_000  # the last call exhausted the closure

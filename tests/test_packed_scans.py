@@ -39,6 +39,30 @@ def _nets():
         yield forkjoin(k)
     net, m0 = ring(4)
     yield net, m0 + Marking.of("zz", "zz", "aa")  # places outside the net
+    for j in range(1, 20):  # the largest field 2^j - 1 or 2^j, at widths up to 20
+        yield hub(2 ** j - 1)
+        yield hub(2 ** j)
+    yield hub(10 ** 6)
+    for count in (3, 4, 7, 8):
+        yield funnel(count)
+
+
+def hub(count):
+    """One reachable state: a hub place holding ``count`` tokens on a
+    self-loop, and three one-token places each on a self-loop through it."""
+    arcs = [("h", "th"), ("th", "h")]
+    arcs += [a for i in range(3) for a in ((f"q{i}", f"t{i}"), ("h", f"t{i}"),
+                                           (f"t{i}", f"q{i}"), (f"t{i}", "h"))]
+    net = PetriNet(["h", "q0", "q1", "q2"], ["th", "t0", "t1", "t2"], arcs)
+    return net, Marking.from_counts({"h": count, "q0": 1, "q1": 1, "q2": 1})
+
+
+def funnel(count):
+    """Two places of ``count`` tokens each, emptied one token a firing into a
+    third: the largest field, ``2 * count``, comes last in the search."""
+    net = PetriNet(["a", "b", "c"], ["ta", "tb"],
+                   [("a", "ta"), ("ta", "c"), ("b", "tb"), ("tb", "c")])
+    return net, Marking.from_counts({"a": count, "b": count})
 
 
 def assert_scans_match(net, m0, limits=None):

@@ -12,7 +12,7 @@ from lucentnet import (BadIndices, Expedition, InvalidPath, Marking, NodeNotFoun
 from lucentnet import (ExplorationLimits, NetStructureError, UndecidedError, explore,
                        is_free_choice, suite_nets)
 from lucentnet.corpus import GeneratorParams, generate
-from lucentnet.paths import _closure_neighbors, _trace
+from lucentnet.paths import _moves
 import rooted_oracle
 from test_packed_explore import random_net
 
@@ -183,8 +183,7 @@ def test_expedited_variants_invariants(n5):
     while frontier:
         nxt = []
         for seq in frontier:
-            trace = _trace(n5.net, n5.initial, seq)
-            for _, rewritten in _closure_neighbors(n5.net, seq, trace):
+            for _, rewritten in _moves(n5.net, n5.initial, seq):
                 if rewritten in seen:
                     continue
                 seen.add(rewritten)

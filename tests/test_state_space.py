@@ -257,8 +257,8 @@ def test_graph_masks_every_found_state_without_a_rescan(n3, monkeypatch):
     # the first state of cut is expanded; the second stopped at its first
     # new marking, and the third was never expanded: both enable
     # transitions, but the edges are the explored ones only
-    assert cut._expanded == 1 and cut.mask(1) and cut.mask(2)
-    assert [len(cut.out_edges(i)) for i in range(3)] == [cut.mask(0).bit_count(), 0, 0]
+    assert cut._expanded == 1 and cut.masks()[1] and cut.masks()[2]
+    assert [len(cut.out_edges(i)) for i in range(3)] == [cut.masks()[0].bit_count(), 0, 0]
 
 
 def kosaraju(succ):
