@@ -9,34 +9,30 @@ from .errors import (BadIndices, CleanedNetInvalid, ClusterNotConnected,
 from .net import (Cluster, Marking, PetriNet, connectivity,
                   enabled_transitions, fire, fire_sequence, is_enabled,
                   is_free_choice, is_proper, mrk, net_class,
-                  sequence_enabled, sequence_to_multiset)
+                  sequence_enabled)
 from .reachability import (BoundednessResult, ExplorationLimits,
                            ReachabilityGraph, UnboundednessWitness, Verdict,
                            bound_k, dead_places, dead_transitions, explore,
                            home_markings, is_deadlock_free,
                            is_live, is_live_and_bounded, is_perpetual,
                            is_safe)
-from .lucency import (AgreementSplit, ConflictPair, LucencyVerdict,
-                      agreement_split, check_lucency, check_no_dominating,
-                      check_pairwise_incomparable, derive_conflict_pair,
-                      find_conflict_pairs, is_fully_transparent,
-                      is_transparent_marking, verify_conflict_pair)
-from .paths import (DisentangledPath, Expedition, Path, RootedPathResult,
-                    can_expedite, disentangle, expedite, expedite_split,
-                    expedited_member, find_rooted_path, is_circuit,
-                    is_disentangled, is_elementary, is_path, is_q_rooted,
-                    verify_expedite_safe, verify_path_safety)
+from .lucency import (ConflictPair, LucencyVerdict, check_lucency,
+                      check_no_dominating, check_pairwise_incomparable,
+                      derive_conflict_pair, find_conflict_pairs,
+                      is_fully_transparent, is_transparent_marking)
+from .paths import (DisentangledPath, Path, RootedPathResult, disentangle,
+                    expedite, expedited_member, find_rooted_path,
+                    is_disentangled, is_path, verify_expedite_safe,
+                    verify_path_safety)
 from .homecluster import (ClusterDetail, HomeClusterReport, ShortCircuitResult,
                           check_detection_equivalence,
-                          check_short_circuit_structure,
                           check_strongly_connected_home_cluster,
-                          classify_dead_end, clean, conn, extended_cluster,
+                          classify_dead_end, clean, extended_cluster,
                           find_home_clusters, is_home_cluster_direct,
-                          is_home_cluster_short_circuit, short_circuit,
-                          support_closure)
+                          short_circuit, support_closure)
 from .corpus import (GeneratorParams, ReferenceNet, SuiteReport,
-                     all_reference_nets, generate, reference_net,
-                     run_theorem_suite, suite_nets, verify_reference_net)
+                     all_reference_nets, generate, run_theorem_suite,
+                     suite_nets, verify_reference_net)
 from .textio import NetDocument, document_of, parse_net, serialize_net
 from .report import build_report, emit_report
 

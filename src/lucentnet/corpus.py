@@ -247,16 +247,9 @@ def _n5() -> ReferenceNet:
 _BUILDERS = {"n1": _n1, "n2": _n2, "n3": _n3, "n4": _n4, "n5": _n5}
 
 
-def reference_net(ident: str) -> ReferenceNet:
-    """One of the five bundled reference nets (``n1`` .. ``n5``)."""
-    key = ident.lower()
-    if key not in _BUILDERS:
-        raise KeyError(f"unknown reference net {ident!r}")
-    return next(ref for ref in all_reference_nets() if ref.ident == key)
-
-
 @functools.cache  # the nets are immutable: build and check them once
 def all_reference_nets() -> Tuple[ReferenceNet, ...]:
+    """The five bundled reference nets, ``n1`` .. ``n5`` in that order."""
     return tuple(_BUILDERS[k]() for k in sorted(_BUILDERS))
 
 

@@ -13,10 +13,9 @@ is reported as a hard error, never resolved silently.
 :func:`find_home_clusters` reads each short-circuit verdict off the one
 exploration of the net itself (:func:`_ring_reader`), and builds and
 explores a short-circuited net only when that exploration cannot decide.
-:func:`is_home_cluster_short_circuit` and :func:`check_detection_equivalence`
-always build and explore it from scratch: they are the oracles the fast
-reading is tested against.  The theorem suite explores every
-short-circuited net too, so each suite run cross-checks the fast verdicts.
+:func:`check_detection_equivalence` always builds and explores it from
+scratch.  The theorem suite explores every short-circuited net too, so
+each suite run cross-checks the fast verdicts.
 
 A short-circuited net differs from the cleaned net by tC alone, so it is
 derived from it (:meth:`PetriNet.with_transition`); cleaning that drops
@@ -28,23 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Tuple
 
-from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError, NodeNotFound,
+from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
 from .lucency import check_lucency
-from .net import (Cluster, Marking, PetriNet, _reachable, connectivity,
-                  is_free_choice, is_proper, mrk)
+from .net import Cluster, Marking, PetriNet, connectivity, is_free_choice, is_proper, mrk
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            dead_transitions, explore, is_deadlock_free,
                            is_live, is_live_and_bounded, is_safe)
-
-
-def conn(net: PetriNet, m0: Marking) -> FrozenSet[str]:
-    """All nodes on a directed path starting in an initially marked place,
-    the marked places included."""
-    try:
-        return frozenset(_reachable(m0.support(), net._post))
-    except KeyError as exc:  # a marked place outside the net
-        raise NodeNotFound(f"unknown node {exc.args[0]!r}") from None
 
 
 def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
@@ -167,21 +156,6 @@ def _ring_verdict(sc, m0, limits) -> Tuple[Verdict, ReachabilityGraph]:
     elif v.value is None:
         v = Verdict(None, reason="exploration of the short-circuited net incomplete")
     return v, graph
-
-
-def is_home_cluster_short_circuit(net: PetriNet, m0: Marking, cluster: Cluster,
-                                  limits: Optional[ExplorationLimits] = None
-                                  ) -> Verdict:
-    """Liveness + boundedness of the short-circuited cleaned net.
-
-    Only meaningful for safely marked proper free-choice nets, where it is
-    provably equivalent to the direct check.
-    """
-    if not is_free_choice(net):
-        raise ValueError("short-circuit detection requires a free-choice net")
-    if not is_proper(net):
-        raise ValueError("short-circuit detection requires a proper net")
-    return _ring_verdict(short_circuit(net, cluster, m0), m0, limits)[0]
 
 
 @dataclass(frozen=True)
@@ -330,10 +304,13 @@ def classify_dead_end(net: PetriNet, m0: Marking, cluster: Cluster,
     """A home cluster is either a terminal point (a lone place whose
     marking is the unique dead marking) or regenerative (the net is
     deadlock-free and the cluster has transitions).  Any other shape
-    contradicts the dichotomy and raises :class:`TheoremViolation`."""
+    contradicts the dichotomy and raises :class:`TheoremViolation`; a
+    cluster that is not a home cluster raises ``ValueError``."""
     rg = rg or explore(net, m0, limits)
     if not rg.complete:
         raise UndecidedError(f"dead-end classification needs a complete exploration ({rg.verdict})")
+    if not rg.is_home(mrk(cluster)):
+        raise ValueError(f"{cluster.pretty()} is not a home cluster")
     df = is_deadlock_free(net, rg)
     if df.value:
         if not cluster.transitions:
@@ -377,20 +354,6 @@ def check_strongly_connected_home_cluster(net: PetriNet, m0: Marking,
     ok = live.value is True and safe.value is True and lucent.lucent is True
     return CheckResult(name, True, ok,
                        f"live={live.value} safe={safe.value} lucent={lucent.lucent}")
-
-
-def check_short_circuit_structure(net: PetriNet, cluster: Cluster, m0: Marking
-                                  ) -> CheckResult:
-    """The short-circuited cleaned net must be strongly connected and
-    free-choice, and the extended cluster must be one of its clusters."""
-    name = "short-circuit-structure"
-    if not _short_circuit_applies(net, m0):
-        return CheckResult(name, False, None, "needs a safely marked proper free-choice net")
-    try:
-        sc = short_circuit(net, cluster, m0)
-    except (ClusterNotConnected, CleanedNetInvalid) as exc:
-        return CheckResult(name, False, None, str(exc))
-    return _judge_structure(cluster, sc)
 
 
 def _judge_structure(cluster: Cluster, sc: ShortCircuitResult) -> CheckResult:

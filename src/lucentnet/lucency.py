@@ -5,6 +5,9 @@ same transition set: the enabled set (the marking's "footprint") then
 identifies the state.  Conflict pairs are the combinatorial obstruction
 used to reason about lucency: two live markings with disjoint footprints
 that each keep one input place of everything the other enables marked.
+They are found by a scan of the state space (:func:`find_conflict_pairs`),
+or derived from two safe markings that share a footprint by greedy firing
+(:func:`derive_conflict_pair`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .errors import (ConstructionFailed, GreedyCycle, RequiresSafeMarking,
                      UndecidedError)
 from .net import Marking, PetriNet, enabled_transitions, fire, fire_sequence, mrk
-from .paths import expedite_split
 from .reachability import (ExplorationLimits, ReachabilityGraph, UNBOUNDED,
                            UnboundednessWitness, Verdict, explore)
 
@@ -97,17 +99,6 @@ def _pair_conditions(net: PetriNet, en1: FrozenSet[str], sup1: FrozenSet[str],
                 or any(net.preset(t).isdisjoint(sup1) for t in en2))
 
 
-def verify_conflict_pair(net: PetriNet, rg: ReachabilityGraph,
-                         m1: Marking, m2: Marking) -> bool:
-    """Independent five-condition check: both reachable, both non-dead,
-    disjoint enabled sets, and each marking keeps at least one input place
-    of every transition the other enables marked."""
-    if not (rg.contains(m1) and rg.contains(m2)):
-        return False
-    return _pair_conditions(net, enabled_transitions(net, m1), frozenset(m1.support()),
-                            enabled_transitions(net, m2), frozenset(m2.support()))
-
-
 def find_conflict_pairs(net: PetriNet, m0: Marking,
                         limits: Optional[ExplorationLimits] = None,
                         rg: Optional[ReachabilityGraph] = None
@@ -134,106 +125,48 @@ def find_conflict_pairs(net: PetriNet, m0: Marking,
     return tuple(found)
 
 
-# -- agreement / disagreement split ----------------------------------------
-
-
-@dataclass(frozen=True)
-class AgreementSplit:
-    """Partition of two safe markings' tokens into an agreement part and two
-    disagreement parts, plus the induced transition grouping: ``t_rest``
-    are the transitions touching no disagreement place."""
-
-    p_agree: Tuple[str, ...]
-    p_one: Tuple[str, ...]
-    p_two: Tuple[str, ...]
-    t_one: Tuple[str, ...]
-    t_two: Tuple[str, ...]
-    t_rest: Tuple[str, ...]
-
-
-def agreement_split(net: PetriNet, m1: Marking, m2: Marking) -> AgreementSplit:
-    if not (m1.is_safe() and m2.is_safe()):
-        raise RequiresSafeMarking("agreement split is defined for safe markings only")
-    if m1 == m2:
-        raise ValueError("markings must differ")
-    sup1 = set(m1.support())
-    sup2 = set(m2.support())
-    p_agree = sup1 & sup2
-    p_one = sup1 - sup2
-    p_two = sup2 - sup1
-    disagree = p_one | p_two
-    t_one, t_two, t_rest = [], [], []
-    for t in net.transitions:
-        pre = net.preset(t)
-        if pre.isdisjoint(disagree):
-            t_rest.append(t)
-        else:
-            if pre & p_one:
-                t_one.append(t)
-            if pre & p_two:
-                t_two.append(t)
-    return AgreementSplit(tuple(sorted(p_agree)), tuple(sorted(p_one)),
-                          tuple(sorted(p_two)), tuple(t_one), tuple(t_two),
-                          tuple(t_rest))
-
-
 def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
                          mode: str = "greedy",
-                         cluster=None,
-                         limits: Optional[ExplorationLimits] = None,
                          rg: Optional[ReachabilityGraph] = None
                          ) -> Tuple[ConflictPair, Tuple[str, ...]]:
-    """Turn two distinct same-footprint markings into a conflict pair.
+    """Turn two distinct safe same-footprint markings into a conflict pair.
 
-    Both modes fire only ``t_rest`` transitions (consuming agreement tokens
-    only), simultaneously from both markings, until none is enabled; the
-    disagreement tokens never move.  ``greedy`` picks the lexicographically
-    smallest enabled one each round; ``guided`` needs a home cluster and
-    derives the firing order from a shortest path to the cluster marking,
-    splitting it with :func:`lucentnet.paths.expedite_split`.
+    Fires only transitions whose preset misses every place that just one of
+    the markings marks (so they consume agreement tokens only),
+    simultaneously from both markings, the lexicographically smallest
+    enabled one each round, until none is enabled; the disagreement tokens
+    never move.  ``greedy`` is the one mode.
 
     Returns the verified pair plus the fired sequence.
     """
+    if mode != "greedy":
+        raise ValueError(f"unknown mode {mode!r}")
     fp1 = enabled_transitions(net, m1)
     fp2 = enabled_transitions(net, m2)
     if m1 == m2:
         raise ValueError("markings must differ")
     if fp1 != fp2 or not fp1:
         raise ValueError("markings must share a non-empty footprint")
-    split = agreement_split(net, m1, m2)
-    allowed = frozenset(split.t_rest)
+    if not (m1.is_safe() and m2.is_safe()):
+        raise RequiresSafeMarking("conflict-pair derivation is defined for safe markings only")
+    disagree = set(m1.support()).symmetric_difference(m2.support())
+    allowed = frozenset(t for t in net.transitions if net.preset(t).isdisjoint(disagree))
 
-    if mode == "greedy":
-        cur1, cur2 = m1, m2
-        sigma: List[str] = []
-        seen = {(cur1, cur2)}
-        while True:
-            en1, en2 = enabled_transitions(net, cur1), enabled_transitions(net, cur2)
-            enabled = sorted(allowed & en1 & en2)
-            if not enabled:
-                break
-            t = enabled[0]
-            cur1 = fire(net, cur1, t)
-            cur2 = fire(net, cur2, t)
-            sigma.append(t)
-            if (cur1, cur2) in seen:
-                raise GreedyCycle(f"marking pair revisited after firing {sigma}")
-            seen.add((cur1, cur2))
-    elif mode == "guided":
-        if cluster is None:
-            raise ValueError("guided mode needs the home cluster")
-        graph = rg if rg is not None else explore(net, m1, limits)
-        target = mrk(cluster)
-        sigma_full = _shortest_firing_path(graph, m1, target)
-        if sigma_full is None:
-            raise ConstructionFailed(f"no firing path from {m1.pretty()} to {target.pretty()}")
-        s1, _ = expedite_split(net, m1, sigma_full, m2, allowed)
-        sigma = list(s1)
-        cur1 = fire_sequence(net, m1, sigma)
-        cur2 = fire_sequence(net, m2, sigma)
+    cur1, cur2 = m1, m2
+    sigma: List[str] = []
+    seen = {(cur1, cur2)}
+    while True:
         en1, en2 = enabled_transitions(net, cur1), enabled_transitions(net, cur2)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        enabled = sorted(allowed & en1 & en2)
+        if not enabled:
+            break
+        t = enabled[0]
+        cur1 = fire(net, cur1, t)
+        cur2 = fire(net, cur2, t)
+        sigma.append(t)
+        if (cur1, cur2) in seen:
+            raise GreedyCycle(f"marking pair revisited after firing {sigma}")
+        seen.add((cur1, cur2))
 
     # firing sigma proves both reachable from the inputs; the caller's state
     # space, when given, must hold them too
@@ -244,34 +177,6 @@ def derive_conflict_pair(net: PetriNet, m1: Marking, m2: Marking,
             f"derived pair ({cur1.pretty()}, {cur2.pretty()}) failed verification; "
             "the net likely violates the construction's assumptions")
     return ConflictPair(cur1, cur2), tuple(sigma)
-
-
-def _shortest_firing_path(rg: ReachabilityGraph, source: Marking,
-                          target: Marking) -> Optional[Tuple[str, ...]]:
-    """Shortest transition sequence between two explored markings (BFS over
-    the state graph, lexicographic tie-break via edge order)."""
-    if not (rg.contains(source) and rg.contains(target)):
-        return None
-    src, dst = rg.index_of(source), rg.index_of(target)
-    if src == dst:
-        return ()
-    prev: Dict[int, Tuple[int, str]] = {src: (-1, "")}
-    frontier = [src]
-    while frontier and dst not in prev:  # one level at a time; the first edge into j wins
-        nxt = []
-        for i in frontier:
-            for t, j in rg.out_edges(i):
-                if j not in prev:
-                    prev[j] = (i, t)
-                    nxt.append(j)
-        frontier = nxt
-    if dst not in prev:
-        return None
-    out, k = [], dst
-    while k != src:
-        k, t = prev[k]
-        out.append(t)
-    return tuple(reversed(out))
 
 
 # -- domination checks -------------------------------------------------------

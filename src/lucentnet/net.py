@@ -46,11 +46,12 @@ class Marking:
 
     @staticmethod
     def from_counts(counts: Mapping[str, int]) -> "Marking":
-        """Zero counts are dropped; a count that is not an int >= 0 raises ValueError."""
-        bad = sorted(p for p, n in counts.items() if not isinstance(n, int) or n < 0)
+        """Zero counts are dropped; a count that is not an int >= 0 (a bool
+        is not) raises ValueError."""
+        bad = sorted(p for p, n in counts.items() if type(n) is not int or n < 0)
         if bad:
             raise ValueError(f"token counts that are negative or not integers for {bad}")
-        return Marking(tuple(sorted((p, int(n)) for p, n in counts.items() if n > 0)))
+        return Marking(tuple(sorted((p, n) for p, n in counts.items() if n > 0)))
 
     def count(self, place: str) -> int:
         return self._counts.get(place, 0)
@@ -102,11 +103,6 @@ class Marking:
     def as_strings(self) -> Tuple[str, ...]:
         """Canonical ``place:count`` serialization, sorted by place."""
         return tuple(f"{p}:{n}" for p, n in self.items)
-
-
-def sequence_to_multiset(seq: Sequence[str]) -> Marking:
-    """Forget the order of a sequence, keeping multiplicities."""
-    return Marking.of(*seq)
 
 
 @dataclass(frozen=True)
@@ -334,9 +330,6 @@ class PetriNet:
             return self._cluster_of[node]
         except KeyError:
             raise NodeNotFound(f"unknown node {node!r}") from None
-
-    def same_cluster(self, a: str, b: str) -> bool:
-        return self.cluster_of(a) is self.cluster_of(b)
 
 
 def mrk(cluster: Cluster) -> Marking:

@@ -1,9 +1,9 @@
-"""Paths, circuits, disentangled paths, and the expediting calculus.
+"""Disentangled paths, cluster-rooted paths, and the expediting calculus.
 
 A disentangled path is a place-to-place path whose places lie in pairwise
-distinct clusters; rooted in a node set Q when it ends inside Q.  Such
-paths carry at most one token in free-choice nets with a home cluster,
-which is what most of the verification machinery here exploits.
+distinct clusters; rooted in a cluster when it ends at one of the
+cluster's places.  Such paths carry at most one token in free-choice nets
+with a home cluster (:func:`find_rooted_path`, :func:`verify_path_safety`).
 
 Expediting rewrites an enabled firing sequence by moving a later
 transition forward when (a) the rewritten prefix is still enabled and
@@ -13,18 +13,19 @@ notation for sequences.
 
 Each candidate move replays its prefix, and each variant is fired again
 from the start.  :func:`expedited_member` and :func:`verify_expedite_safe`
-read one closure search, :func:`_variants`.
+read one closure search, :func:`_variants`, over the moves of
+:func:`_moves`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BadIndices, InvalidPath, NotEnabled, UndecidedError
-from .net import (Marking, PetriNet, enabled_transitions, fire, fire_sequence, is_enabled,
-                  sequence_enabled, sequence_to_multiset)
+from .net import Marking, PetriNet, fire_sequence, sequence_enabled
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            explore)
 
@@ -41,16 +42,6 @@ def is_path(net: PetriNet, nodes: Sequence[str]) -> bool:
     return all((nodes[i], nodes[i + 1]) in net.flow for i in range(len(nodes) - 1))
 
 
-def is_elementary(net: PetriNet, nodes: Sequence[str]) -> bool:
-    """A path with no repeated node."""
-    return is_path(net, nodes) and len(set(nodes)) == len(nodes)
-
-
-def is_circuit(net: PetriNet, nodes: Sequence[str]) -> bool:
-    """An elementary path whose last node feeds back into its first."""
-    return is_elementary(net, nodes) and nodes[0] in net.postset(nodes[-1])
-
-
 def is_disentangled(net: PetriNet, nodes: Sequence[str]) -> bool:
     """Starts and ends with a place; all places on the path lie in pairwise
     distinct clusters (which also makes the path elementary)."""
@@ -60,11 +51,6 @@ def is_disentangled(net: PetriNet, nodes: Sequence[str]) -> bool:
         return False
     place_clusters = [net.cluster_of(x) for x in nodes if net.is_place(x)]
     return len(set(id(c) for c in place_clusters)) == len(place_clusters)
-
-
-def is_q_rooted(net: PetriNet, nodes: Sequence[str], q: Iterable[str]) -> bool:
-    """The path ends inside the node set ``q``."""
-    return bool(nodes) and nodes[-1] in set(q)
 
 
 @dataclass(frozen=True)
@@ -211,45 +197,13 @@ def verify_path_safety(net: PetriNet, m0: Marking, path,
 # -- expediting ---------------------------------------------------------------
 
 
-def _check_indices(seq: Sequence[str], i: int, j: int):
-    if not (1 <= i < j <= len(seq)):
-        raise BadIndices(f"need 1 <= i < j <= {len(seq)}, got ({i}, {j})")
-
-
 def expedite(seq: Sequence[str], i: int, j: int) -> Tuple[str, ...]:
     """Move the j-th element to position i, shifting the block in between
     one step right (positions 1-based)."""
-    _check_indices(seq, i, j)
+    if not (1 <= i < j <= len(seq)):
+        raise BadIndices(f"need 1 <= i < j <= {len(seq)}, got ({i}, {j})")
     s = tuple(seq)
     return s[:i - 1] + (s[j - 1],) + s[i - 1:j - 1] + s[j:]
-
-
-def can_expedite(net: PetriNet, m: Marking, seq: Sequence[str], i: int, j: int) -> bool:
-    """Whether the j-th transition of an enabled sequence may move to
-    position i: the rewritten prefix must be enabled and no transition of
-    the j-th one's cluster may occur at positions i..j-1."""
-    _check_indices(seq, i, j)
-    s = tuple(seq)
-    if not sequence_enabled(net, m, s):
-        raise NotEnabled("the sequence itself is not enabled")
-    return any(move == (i, j) for move, _ in _moves(net, m, s))
-
-
-@dataclass(frozen=True)
-class Expedition:
-    """A replayable move script over an enabled base sequence."""
-
-    base: Tuple[str, ...]
-    start: Marking
-    moves: Tuple[Tuple[int, int], ...]
-
-    def apply(self, net: PetriNet) -> Tuple[str, ...]:
-        seq = self.base
-        for i, j in self.moves:
-            if not can_expedite(net, self.start, seq, i, j):
-                raise NotEnabled(f"move ({i}, {j}) is not a legal expedite step on {list(seq)}")
-            seq = expedite(seq, i, j)
-        return seq
 
 
 def _moves(net: PetriNet, m: Marking, seq: Tuple[str, ...]):
@@ -302,7 +256,7 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
         raise NotEnabled("base sequence is not enabled")
     if base == candidate:
         return Verdict(True)
-    if sequence_to_multiset(base) != sequence_to_multiset(candidate):
+    if Counter(base) != Counter(candidate):
         return Verdict(False, reason="not a permutation of the base")
     if not sequence_enabled(net, m, candidate):
         return Verdict(False, reason="candidate is not enabled")
@@ -312,49 +266,6 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
         if spent >= budget:
             return Verdict(None, reason="search budget exceeded")
     return Verdict(False, reason="closure exhausted")
-
-
-def expedite_split(net: PetriNet, m_from: Marking, seq: Sequence[str],
-                   m_alt: Marking, t_allow: Iterable[str]
-                   ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Greedily expedite allowed transitions of an enabled sequence to the
-    front, as long as the growing prefix also fires from ``m_alt``.
-
-    Returns ``(s1, s2)`` with ``s1 + s2`` an expedited variant of ``seq``,
-    ``s1`` made of ``t_allow`` transitions enabled in order from ``m_alt``,
-    and, at the fixpoint, no allowed transition of the remainder enabled at
-    the marking ``m_alt`` reaches after ``s1``.
-    """
-    seq = list(seq)
-    if not sequence_enabled(net, m_from, seq):
-        raise NotEnabled("sequence is not enabled from m_from")
-    allowed = frozenset(t_allow)
-    done = 0
-    cur_from, cur_alt = m_from, m_alt  # the markings after seq[:done]
-    while True:
-        enabled_alt = enabled_transitions(net, cur_alt)
-        pick = -1
-        for j in range(done, len(seq)):
-            t = seq[j]
-            if t not in allowed or t not in enabled_alt:
-                continue
-            if j == done:
-                pick = j
-                break
-            if any(net.same_cluster(seq[k], t) for k in range(done, j)):
-                continue
-            if not is_enabled(net, cur_from, t):
-                continue
-            pick = j
-            break
-        if pick < 0:
-            break
-        if pick != done:
-            seq = seq[:done] + [seq[pick]] + seq[done:pick] + seq[pick + 1:]
-        cur_from = fire(net, cur_from, seq[done])
-        cur_alt = fire(net, cur_alt, seq[done])
-        done += 1
-    return tuple(seq[:done]), tuple(seq[done:])
 
 
 def verify_expedite_safe(net: PetriNet, m: Marking, seq: Sequence[str],

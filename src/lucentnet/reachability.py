@@ -77,8 +77,8 @@ class ExplorationLimits:
     max_states: int = DEFAULT_MAX_STATES
 
     def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("max_states must be positive")
+        if type(self.max_states) is not int or self.max_states < 1:
+            raise ValueError("max_states must be a positive integer")
 
 
 @dataclass(frozen=True)

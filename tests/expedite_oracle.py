@@ -2,12 +2,10 @@
 the ``paths`` functions: each candidate move replays its whole prefix with
 checked firing, and each variant is fired again from the start."""
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from lucentnet.errors import NotEnabled
-from lucentnet.net import (Marking, PetriNet, enabled_list, enabled_transitions,
-                           fire, fire_sequence, sequence_enabled,
-                           sequence_to_multiset)
+from lucentnet.net import Marking, PetriNet, enabled_list, fire, fire_sequence, sequence_enabled
 from lucentnet.paths import expedite
 from lucentnet.reachability import Verdict
 
@@ -34,7 +32,7 @@ def closure_neighbors(net: PetriNet, m: Marking, seq: Tuple[str, ...]):
         for i in range(j - 1, 0, -1):
             # walking i downward: once a same-cluster transition appears at
             # position i, smaller i are blocked too
-            if net.same_cluster(seq[i - 1], mover):
+            if net.cluster_of(seq[i - 1]) is net.cluster_of(mover):
                 break
             if sequence_enabled(net, m, seq[:i - 1] + (mover,)):
                 yield (i, j), expedite(seq, i, j)
@@ -48,7 +46,7 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
         raise NotEnabled("base sequence is not enabled")
     if base == candidate:
         return Verdict(True)
-    if sequence_to_multiset(base) != sequence_to_multiset(candidate):
+    if sorted(base) != sorted(candidate):
         return Verdict(False, reason="not a permutation of the base")
     if not sequence_enabled(net, m, candidate):
         return Verdict(False, reason="candidate is not enabled")
@@ -70,38 +68,6 @@ def expedited_member(net: PetriNet, m: Marking, base: Sequence[str],
                     return Verdict(None, reason="search budget exceeded")
         frontier = nxt
     return Verdict(False, reason="closure exhausted")
-
-
-def expedite_split(net: PetriNet, m_from: Marking, seq: Sequence[str],
-                   m_alt: Marking, t_allow: Iterable[str]):
-    seq = list(seq)
-    if not sequence_enabled(net, m_from, seq):
-        raise NotEnabled("sequence is not enabled from m_from")
-    allowed = frozenset(t_allow)
-    done = 0
-    cur_alt = m_alt
-    while True:
-        pick = -1
-        for j in range(done, len(seq)):
-            t = seq[j]
-            if t not in allowed or t not in enabled_transitions(net, cur_alt):
-                continue
-            if j == done:
-                pick = j
-                break
-            if any(net.same_cluster(seq[k], t) for k in range(done, j)):
-                continue
-            if not sequence_enabled(net, m_from, seq[:done] + [t]):
-                continue
-            pick = j
-            break
-        if pick < 0:
-            break
-        if pick != done:
-            seq = seq[:done] + [seq[pick]] + seq[done:pick] + seq[pick + 1:]
-        cur_alt = fire(net, cur_alt, seq[done])
-        done += 1
-    return tuple(seq[:done]), tuple(seq[done:])
 
 
 def verify_expedite_safe(net: PetriNet, m: Marking, seq: Sequence[str],

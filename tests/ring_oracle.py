@@ -1,10 +1,19 @@
 """The short-circuited net and the cleaned net as they were built before
 they were derived from their source net: each is a full ``PetriNet`` build
 from arc lists, kept as the oracle for ``PetriNet.with_transition`` and
-``homecluster._restrict``."""
+``homecluster._restrict``.
 
-from lucentnet import CleanedNetInvalid, NetStructureError, PetriNet
-from lucentnet.homecluster import ShortCircuitResult, _fresh_transition_name
+Also the from-scratch home-cluster checks: :func:`is_home_cluster_short_circuit`
+and :func:`check_short_circuit_structure` build and explore one cluster's
+ring on its own, the oracle for the verdicts read off the base graph and
+off the theorem suite's shared rings; :func:`conn` is plain graph
+reachability, the oracle that ``homecluster.support_closure`` refines."""
+
+from lucentnet import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
+                       NodeNotFound, PetriNet, is_free_choice, is_proper, short_circuit)
+from lucentnet.homecluster import (CheckResult, ShortCircuitResult, _fresh_transition_name,
+                                   _judge_structure, _ring_verdict, _short_circuit_applies)
+from lucentnet.net import _reachable
 
 
 def restrict(net, keep):
@@ -28,3 +37,39 @@ def attach_ring(cleaned, cluster, m0):
         # a cluster without places on an empty initial marking: tC has no arcs
         raise CleanedNetInvalid(f"short-circuited net is not a valid net: {exc}") from exc
     return ShortCircuitResult(built, fresh)
+
+
+def conn(net, m0):
+    """All nodes on a directed path starting in an initially marked place,
+    the marked places included."""
+    try:
+        return frozenset(_reachable(m0.support(), net._post))
+    except KeyError as exc:  # a marked place outside the net
+        raise NodeNotFound(f"unknown node {exc.args[0]!r}") from None
+
+
+def is_home_cluster_short_circuit(net, m0, cluster, limits=None):
+    """Liveness + boundedness of the short-circuited cleaned net, built and
+    explored on its own.
+
+    Only meaningful for safely marked proper free-choice nets, where it is
+    provably equivalent to the direct check.
+    """
+    if not is_free_choice(net):
+        raise ValueError("short-circuit detection requires a free-choice net")
+    if not is_proper(net):
+        raise ValueError("short-circuit detection requires a proper net")
+    return _ring_verdict(short_circuit(net, cluster, m0), m0, limits)[0]
+
+
+def check_short_circuit_structure(net, cluster, m0):
+    """The short-circuited cleaned net must be strongly connected and
+    free-choice, and the extended cluster must be one of its clusters."""
+    name = "short-circuit-structure"
+    if not _short_circuit_applies(net, m0):
+        return CheckResult(name, False, None, "needs a safely marked proper free-choice net")
+    try:
+        sc = short_circuit(net, cluster, m0)
+    except (ClusterNotConnected, CleanedNetInvalid) as exc:
+        return CheckResult(name, False, None, str(exc))
+    return _judge_structure(cluster, sc)

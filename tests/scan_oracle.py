@@ -1,10 +1,12 @@
 """The graph-wide scans as they were written on ``Marking`` values, before
 they moved onto the packed states; kept as the oracle for the packed
 versions.  Each takes the net and a record from ``explore_oracle.explore``
-(``states``, ``edges``, ``verdict``), so nothing here reads a packed state."""
+(``states``, ``edges``, ``verdict``), so nothing here reads a packed state;
+:func:`verify_conflict_pair` asks its graph only whether it holds a marking."""
 
 from typing import Dict, FrozenSet, List
 
+from lucentnet.lucency import _pair_conditions
 from lucentnet.net import Marking, enabled_transitions, mrk
 
 
@@ -119,6 +121,17 @@ def conflict_pairs(net, g):
             if en1 and en2 and en1.isdisjoint(en2) and keeps(m2, en1) and keeps(m1, en2):
                 found.append((m1, m2))
     return found
+
+
+def verify_conflict_pair(net, rg, m1, m2) -> bool:
+    """The five conflict-pair conditions on one pair of markings, by name:
+    both reachable, both non-dead, disjoint enabled sets, and each marking
+    keeps at least one input place of every transition the other enables
+    marked.  The last four are the ones ``derive_conflict_pair`` checks."""
+    if not (rg.contains(m1) and rg.contains(m2)):
+        return False
+    return _pair_conditions(net, enabled_transitions(net, m1), frozenset(m1.support()),
+                            enabled_transitions(net, m2), frozenset(m2.support()))
 
 
 def strings(g):

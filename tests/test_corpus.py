@@ -4,8 +4,8 @@ import pytest
 
 from lucentnet import (ExplorationLimits, GeneratorParams, Marking, PetriNet,
                        all_reference_nets, connectivity, explore, generate,
-                       is_free_choice, is_proper, reference_net,
-                       run_theorem_suite, suite_nets, verify_reference_net)
+                       is_free_choice, is_proper, run_theorem_suite,
+                       suite_nets, verify_reference_net)
 from lucentnet import parse_net, paths
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -14,24 +14,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def test_reference_nets_load():
     idents = [ref.ident for ref in all_reference_nets()]
     assert idents == ["n1", "n2", "n3", "n4", "n5"]
-    assert reference_net("N2").ident == "n2"
-    with pytest.raises(KeyError):
-        reference_net("n9")
 
 
-def test_reference_structural_checkpoints():
-    n1 = reference_net("n1")
+def test_reference_structural_checkpoints(n1, n3):
     assert len(n1.net.places) == 4
     assert len(n1.net.transitions) == 5
     assert len(n1.net.flow) == 10
-    n3 = reference_net("n3")
     assert len(n3.net.flow) == 12
     assert n3.initial == Marking.of("p1", "p3", "p6")
 
 
 @pytest.mark.parametrize("ident", ["n1", "n2", "n3", "n4", "n5"])
-def test_reference_expectations_hold(ident):
-    ref = reference_net(ident)
+def test_reference_expectations_hold(ident, request):
+    ref = request.getfixturevalue(ident)
     # the bundled file is the same net: the goldens run on it
     doc = parse_net((ROOT / "corpus" / f"{ident}.net").read_text())
     assert doc.to_net() == (ref.net, ref.initial)

@@ -6,16 +6,14 @@ import random
 
 import pytest
 
-from lucentnet import (ExplorationLimits, NetStructureError, NodeNotFound,
-                       NotEnabled, NotEnabledAt, all_reference_nets,
-                       can_expedite, explore, is_free_choice, suite_nets)
+from lucentnet import (NetStructureError, NodeNotFound, NotEnabled, NotEnabledAt,
+                       all_reference_nets, is_free_choice, suite_nets)
 from lucentnet import paths
 import expedite_oracle
 from test_fast_short_circuit import forkjoin, ring
 from test_packed_explore import random_net
 
 SIGMA5 = ("t2", "t5", "t6", "t8", "t8")
-CAP = ExplorationLimits(max_states=2000)
 
 
 def walks(net, m0, seed, count=10, max_len=8):
@@ -30,14 +28,10 @@ def walks(net, m0, seed, count=10, max_len=8):
 
 
 def assert_same(net, m0, walk, deep=True):
-    """Moves, legality and verdicts agree with the oracle on one walk."""
-    moves = list(expedite_oracle.closure_neighbors(net, m0, walk))
-    assert list(paths._moves(net, m0, walk)) == moves
-    legal = {move for move, _ in moves}
-    n = len(walk)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            assert can_expedite(net, m0, walk, i, j) == ((i, j) in legal)
+    """Moves (so the legality of each) and verdicts agree with the oracle
+    on one walk."""
+    assert (list(paths._moves(net, m0, walk))
+            == list(expedite_oracle.closure_neighbors(net, m0, walk)))
     for samples in (0, 1, 5, 50) if deep else (0, 1, 5):
         assert (paths.verify_expedite_safe(net, m0, walk, samples)
                 == expedite_oracle.verify_expedite_safe(net, m0, walk, samples))
@@ -140,23 +134,6 @@ def test_expedited_member_matches_oracle(n5):
     assert {r for _, r in reasons} >= {"", "not a permutation of the base",
                                        "candidate is not enabled", "closure exhausted",
                                        "search budget exceeded"}
-
-
-def test_expedite_split_matches_oracle():
-    rng = random.Random(12)
-    nets = [(ref.net, ref.initial) for ref in all_reference_nets()]
-    nets += [forkjoin(4)] + non_free_choice_nets(100, seed=13)
-    moved = 0
-    for net, m0 in nets:
-        states = explore(net, m0, CAP).states
-        for seq in walks(net, m0, repr(sorted(net.flow)), count=3):
-            for _ in range(3):
-                m_alt = rng.choice(states)
-                allowed = rng.sample(net.transitions, rng.randint(0, len(net.transitions)))
-                got = paths.expedite_split(net, m0, seq, m_alt, allowed)
-                assert got == expedite_oracle.expedite_split(net, m0, seq, m_alt, allowed)
-                moved += got[0] != seq[:len(got[0])]
-    assert moved > 0
 
 
 def test_base_errors_match_fire_sequence(n5):

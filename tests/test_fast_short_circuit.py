@@ -1,15 +1,15 @@
 """Short-circuit verdicts read off the base reachability graph against the
-from-scratch oracle, :func:`is_home_cluster_short_circuit`, which builds
-and explores each cluster's ring (short-circuited net) on its own."""
+from-scratch oracle, ``ring_oracle.is_home_cluster_short_circuit``, which
+builds and explores each cluster's ring (short-circuited net) on its own."""
 
 import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected,
                        ExplorationLimits, Marking, PetriNet,
                        RequiresSafeMarking, explore,
-                       find_home_clusters, is_home_cluster_short_circuit, mrk,
-                       short_circuit, suite_nets)
+                       find_home_clusters, mrk, short_circuit, suite_nets)
 from lucentnet import homecluster
+from ring_oracle import is_home_cluster_short_circuit
 
 CAPS = [None, 1, 2, 3, 4, 7]
 

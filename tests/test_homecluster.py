@@ -2,12 +2,11 @@ import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected, Marking,
                        NodeNotFound, PetriNet, RequiresSafeMarking, check_detection_equivalence,
-                       check_short_circuit_structure,
                        check_strongly_connected_home_cluster, classify_dead_end,
-                       clean, conn, connectivity, explore, extended_cluster,
+                       clean, connectivity, explore, extended_cluster,
                        find_home_clusters, is_free_choice,
-                       is_home_cluster_direct, is_home_cluster_short_circuit,
-                       short_circuit, support_closure)
+                       is_home_cluster_direct, short_circuit, support_closure)
+from ring_oracle import check_short_circuit_structure, conn, is_home_cluster_short_circuit
 
 
 def test_conn(n1, n3):
@@ -136,11 +135,14 @@ def test_find_home_clusters_direct_only_for_non_free_choice(n2):
     assert all("not applicable" in d.note for d in report.details)
 
 
-def test_classify_dead_end(n1, n5):
+def test_classify_dead_end(n1, n3, n5):
     c4 = next(c for c in n1.net.clusters() if c.places == ("p4",))
     assert classify_dead_end(n1.net, n1.initial, c4) == "terminal"
     for c in find_home_clusters(n5.net, n5.initial).home_clusters:
         assert classify_dead_end(n5.net, n5.initial, c) == "regenerative"
+    # n3 has no home cluster: its first cluster is no input for the dichotomy
+    with pytest.raises(ValueError, match="not a home cluster"):
+        classify_dead_end(n3.net, n3.initial, n3.net.clusters()[0])
 
 
 def test_extended_cluster_is_cluster_of_ring(n1):

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from lucentnet import (Cluster, Marking, PetriNet,
-                       RequiresSafeMarking, agreement_split, check_lucency,
+from lucentnet import (Marking, PetriNet, RequiresSafeMarking, check_lucency,
                        check_no_dominating, check_pairwise_incomparable,
                        derive_conflict_pair, enabled_transitions, explore,
                        find_conflict_pairs, is_fully_transparent,
-                       is_transparent_marking, verify_conflict_pair)
+                       is_transparent_marking)
+from scan_oracle import verify_conflict_pair
 
 
 def test_footprint_examples(n2, n3):
@@ -105,45 +105,11 @@ def test_verifier_rejects_bad_pairs(n3):
     assert not verify_conflict_pair(n3.net, rg, Marking.of("p1"), Marking.of("p2"))
 
 
-def test_agreement_split_examples(n3):
-    s = agreement_split(n3.net, Marking.of("p1", "p3", "p6"),
-                        Marking.of("p1", "p4", "p6"))
-    assert s.p_agree == ("p1", "p6")
-    assert s.p_one == ("p3",)
-    assert s.p_two == ("p4",)
-    assert s.t_rest == ("t1", "t4")
-    assert s.t_one == ("t2",) and s.t_two == ("t3",)
-
-    s2 = agreement_split(n3.net, Marking.of("p2", "p3", "p5"),
-                         Marking.of("p2", "p4", "p5"))
-    assert s2.p_agree == ("p2", "p5")
-
-
-def test_agreement_split_preconditions(n3):
-    with pytest.raises(ValueError):
-        agreement_split(n3.net, Marking.of("p1"), Marking.of("p1"))
-    with pytest.raises(RequiresSafeMarking):
-        agreement_split(n3.net, Marking.of("p1", "p1"), Marking.of("p2"))
-
-
 def test_derive_conflict_pair_greedy(n3):
     rg = explore(n3.net, n3.initial)
     pair, sigma = derive_conflict_pair(
         n3.net, Marking.of("p1", "p3", "p6"), Marking.of("p1", "p4", "p6"),
         mode="greedy", rg=rg)
-    assert sigma == ("t1", "t4")
-    assert (pair.m1, pair.m2) == (Marking.of("p2", "p3", "p5"),
-                                  Marking.of("p2", "p4", "p5"))
-
-
-def test_derive_conflict_pair_guided(n3):
-    # guide the firing toward a reachable target that fully marks the
-    # agreement places of the expected conflict pair
-    rg = explore(n3.net, n3.initial)
-    target = Cluster(("p2", "p3", "p5"), ())
-    pair, sigma = derive_conflict_pair(
-        n3.net, Marking.of("p1", "p3", "p6"), Marking.of("p1", "p4", "p6"),
-        mode="guided", cluster=target, rg=rg)
     assert sigma == ("t1", "t4")
     assert (pair.m1, pair.m2) == (Marking.of("p2", "p3", "p5"),
                                   Marking.of("p2", "p4", "p5"))
@@ -156,6 +122,14 @@ def test_derive_conflict_pair_preconditions(n3):
     with pytest.raises(ValueError):
         derive_conflict_pair(n3.net, Marking.of("p1", "p3", "p6"),
                              Marking.of("p2", "p3", "p6"))
+    # both enable {t1, t4}, but the first puts two tokens on p1
+    unsafe = Marking.of("p1", "p1", "p3", "p6")
+    assert enabled_transitions(n3.net, unsafe) == {"t1", "t4"}
+    with pytest.raises(RequiresSafeMarking):
+        derive_conflict_pair(n3.net, unsafe, Marking.of("p1", "p4", "p6"))
+    with pytest.raises(ValueError, match="unknown mode 'guided'"):
+        derive_conflict_pair(n3.net, Marking.of("p1", "p3", "p6"),
+                             Marking.of("p1", "p4", "p6"), mode="guided")
 
 
 def test_n1_has_no_same_footprint_pair(n1):

@@ -5,8 +5,7 @@ import pytest
 from lucentnet import (Cluster, Marking, NetStructureError, NodeNotFound,
                        NotEnabled, NotEnabledAt, PetriNet, connectivity,
                        enabled_transitions, fire, fire_sequence,
-                       is_free_choice, is_proper, mrk, net_class,
-                       sequence_to_multiset)
+                       is_free_choice, is_proper, mrk, net_class)
 from lucentnet.corpus import GeneratorParams, generate
 
 
@@ -71,7 +70,7 @@ def test_marking_rejects_negative_counts():
         Marking.from_counts({"a": -1})
 
 
-@pytest.mark.parametrize("count", [0.5, 1.5, "1", None, -1])
+@pytest.mark.parametrize("count", [0.5, 1.5, "1", None, -1, True])
 def test_marking_rejects_non_integer_counts(count):
     # 0.5 would be kept as an unmarked place, 1.5 truncated to one token
     with pytest.raises(ValueError, match=r"negative or not integers for \['p'\]"):
@@ -84,11 +83,6 @@ def test_multiset_difference_and_size():
     assert b5 - b2 == Marking.of("x", "y", "z")
     assert len(b5) == 6
     assert b5.total({"x", "y"}) == 5
-
-
-def test_sequence_to_multiset():
-    assert sequence_to_multiset(("x", "x", "y", "x", "z")) == \
-        Marking.of("x", "x", "x", "y", "z")
 
 
 def test_multiset_order_relations():

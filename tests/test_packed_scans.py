@@ -13,7 +13,7 @@ from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
                        dead_transitions, document_of, explore,
                        find_conflict_pairs, home_markings,
                        is_deadlock_free, is_fully_transparent, serialize_net,
-                       suite_nets, verify_conflict_pair)
+                       suite_nets)
 from lucentnet import reachability
 from lucentnet.cli import main
 import explore_oracle
@@ -239,8 +239,9 @@ def test_analyze_decodes_only_its_witnesses(monkeypatch, tmp_path, capsys):
 
 def test_conflict_pair_conditions_agree_on_names_and_masks():
     # the conditions live twice: on masks in find_conflict_pairs, which needs
-    # a graph, and on names in verify_conflict_pair (and derive_conflict_pair,
-    # which may have none); every state pair must get one answer from both
+    # a graph, and on names in derive_conflict_pair, which may have none
+    # (scan_oracle.verify_conflict_pair reads them); every state pair must
+    # get one answer from both
     pairs = 0
     for net, m0 in _nets():
         rg = explore(net, m0)
@@ -250,7 +251,8 @@ def test_conflict_pair_conditions_agree_on_names_and_masks():
         states = rg.states
         for i, mi in enumerate(states):
             for mj in states[i + 1:]:
-                assert verify_conflict_pair(net, rg, mi, mj) == ((mi, mj) in found), (net, mi, mj)
+                assert (scan_oracle.verify_conflict_pair(net, rg, mi, mj)
+                        == ((mi, mj) in found)), (net, mi, mj)
         pairs += len(found)
     assert pairs > 50  # 82 conflict pairs among these nets
 

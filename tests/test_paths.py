@@ -1,14 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
-from lucentnet import (BadIndices, Expedition, InvalidPath, Marking, NodeNotFound,
-                       NotEnabled, Path, PetriNet, can_expedite, disentangle, expedite,
-                       expedite_split, expedited_member, find_rooted_path,
-                       fire_sequence, is_circuit, is_disentangled,
-                       is_elementary, is_path, is_q_rooted,
-                       sequence_to_multiset, verify_expedite_safe,
-                       verify_path_safety)
+from lucentnet import (BadIndices, InvalidPath, Marking, NodeNotFound, Path,
+                       PetriNet, disentangle, expedite, expedited_member,
+                       find_rooted_path, fire_sequence, is_disentangled,
+                       is_path, verify_expedite_safe, verify_path_safety)
 from lucentnet import (ExplorationLimits, NetStructureError, UndecidedError, explore,
                        is_free_choice, suite_nets)
 from lucentnet.corpus import GeneratorParams, generate
@@ -21,11 +19,7 @@ SIGMA5 = ("t2", "t5", "t6", "t8", "t8")
 
 def test_path_predicates(n3, n5):
     assert is_path(n5.net, ("t8", "p7", "t8", "p8"))
-    assert not is_elementary(n5.net, ("t8", "p7", "t8", "p8"))
-    assert is_elementary(n3.net, ("p1",))  # single node
     assert is_path(n3.net, ("p1", "t1", "p2", "t2"))
-    assert is_circuit(n3.net, ("p1", "t1", "p2", "t2"))
-    assert not is_circuit(n3.net, ("p1", "t1", "p2"))
     assert not is_path(n3.net, ("p1", "p2"))
     assert not is_path(n3.net, ())
 
@@ -37,11 +31,11 @@ def test_disentangled_examples(n3):
 
 
 def test_q_rooted(n3):
+    # rooted in a cluster: the path ends at one of the cluster's places
     rho2 = ("p5", "t3", "p3", "t2", "p1")
-    assert is_q_rooted(n3.net, rho2, {"p1", "p2"})
-    assert not is_q_rooted(n3.net, rho2, set())
     cluster1 = next(c for c in n3.net.clusters() if "p1" in c.places)
-    assert is_q_rooted(n3.net, rho2, cluster1.places)
+    out = disentangle(n3.net, rho2, cluster1)
+    assert out.nodes == rho2 and out.nodes[-1] in cluster1.places
 
 
 def test_disentangle_worked_example(n3):
@@ -56,7 +50,7 @@ def test_disentangle_contract(n3):
     rho = ("p6", "t4", "p5", "t3", "p3", "t2", "p4", "t3", "p3", "t2", "p1")
     out = disentangle(n3.net, rho, cluster1)
     assert is_disentangled(n3.net, out.nodes)
-    assert is_q_rooted(n3.net, out.nodes, cluster1.places)
+    assert out.nodes[-1] in cluster1.places
     assert out.nodes[0] == rho[0]
     transitions = {x for x in out.nodes if n3.net.is_transition(x)}
     assert transitions <= {x for x in rho if n3.net.is_transition(x)}
@@ -147,22 +141,6 @@ def test_expedite_rejects_bad_indices():
         expedite(("a", "b"), 1, 3)
 
 
-def test_can_expedite_n5(n5):
-    assert can_expedite(n5.net, n5.initial, SIGMA5, 2, 3) is True
-    assert can_expedite(n5.net, n5.initial, SIGMA5, 2, 4) is False
-    with pytest.raises(BadIndices):
-        can_expedite(n5.net, n5.initial, SIGMA5, 3, 3)
-    with pytest.raises(NotEnabled):
-        can_expedite(n5.net, n5.initial, ("t5", "t2"), 1, 2)
-
-
-def test_expedition_apply(n5):
-    moved = Expedition(SIGMA5, n5.initial, ((2, 3),)).apply(n5.net)
-    assert moved == ("t2", "t6", "t5", "t8", "t8")
-    with pytest.raises(NotEnabled):
-        Expedition(SIGMA5, n5.initial, ((2, 4),)).apply(n5.net)
-
-
 def test_expedited_member(n5):
     assert expedited_member(n5.net, n5.initial, SIGMA5, SIGMA5).value is True
     assert expedited_member(n5.net, n5.initial, SIGMA5,
@@ -191,36 +169,12 @@ def test_expedited_variants_invariants(n5):
         frontier = nxt
     assert len(seen) > 1
     for seq in seen:
-        assert sequence_to_multiset(seq) == sequence_to_multiset(base)
+        assert Counter(seq) == Counter(base)
         assert fire_sequence(n5.net, n5.initial, seq) == expected
         for cluster in n5.net.clusters():
             trans = set(cluster.transitions)
             assert tuple(t for t in seq if t in trans) == \
                 tuple(t for t in base if t in trans)
-
-
-def test_expedite_split_examples(n3):
-    m1 = Marking.of("p1", "p3", "p6")
-    m2 = Marking.of("p1", "p4", "p6")
-    s1, s2 = expedite_split(n3.net, m1, ("t1", "t4", "t2"), m2, {"t1", "t4"})
-    assert s1 == ("t1", "t4") and s2 == ("t2",)
-    # no transitions allowed: nothing moves
-    s1, s2 = expedite_split(n3.net, m1, ("t1", "t4", "t2"), m2, set())
-    assert s1 == () and s2 == ("t1", "t4", "t2")
-    # everything allowed and the same start: the whole sequence goes through
-    s1, s2 = expedite_split(n3.net, m1, ("t1", "t4", "t2"), m1,
-                            set(n3.net.transitions))
-    assert s1 == ("t1", "t4", "t2") and s2 == ()
-
-
-def test_expedite_split_reorders(n3):
-    # t4 overtakes t2: it is allowed, enabled on the alternate side, and
-    # the rewritten prefix still fires from the origin side
-    m1 = Marking.of("p1", "p3", "p6")
-    m2 = Marking.of("p1", "p4", "p6")
-    s1, s2 = expedite_split(n3.net, m1, ("t1", "t2", "t4"), m2, {"t1", "t4"})
-    assert s1 == ("t1", "t4") and s2 == ("t2",)
-    assert sequence_to_multiset(s1 + s2) == sequence_to_multiset(("t1", "t2", "t4"))
 
 
 def test_verify_expedite_safe(n5):
@@ -253,11 +207,8 @@ def test_expedite_replays_on_random_nets():
             continue
         nets += 1
         expected = fire_sequence(net, m0, walk)
-        for j in range(2, len(walk) + 1):
-            for i in range(1, j):
-                if can_expedite(net, m0, tuple(walk), i, j):
-                    variant = expedite(tuple(walk), i, j)
-                    assert fire_sequence(net, m0, variant) == expected
+        for _, variant in _moves(net, m0, tuple(walk)):
+            assert fire_sequence(net, m0, variant) == expected
     assert nets >= 10
 
 

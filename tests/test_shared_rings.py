@@ -11,13 +11,12 @@ import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected,
                        ExplorationLimits, Marking, PetriNet, TheoremViolation,
-                       all_reference_nets, check_detection_equivalence,
-                       check_short_circuit_structure, explore,
+                       all_reference_nets, check_detection_equivalence, explore,
                        find_home_clusters, is_free_choice, is_proper,
-                       reference_net, run_theorem_suite, short_circuit,
-                       suite_nets)
+                       run_theorem_suite, short_circuit, suite_nets)
 from lucentnet import homecluster, reachability
 from lucentnet.cli import main
+from ring_oracle import check_short_circuit_structure
 from test_fast_short_circuit import forkjoin, ring
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -91,7 +90,7 @@ def test_home_clusters_explore_a_complete_net_once(explorations, capsys):
         assert list(explorations.values()) == [1], ident
 
 
-def test_home_clusters_explore_each_ring_on_a_truncated_net(explorations, capsys):
+def test_home_clusters_explore_each_ring_on_a_truncated_net(n3, explorations, capsys):
     small = ExplorationLimits(max_states=3)
     truncated = 0
     for name, net, m0 in _family_nets():
@@ -106,7 +105,6 @@ def test_home_clusters_explore_each_ring_on_a_truncated_net(explorations, capsys
     assert truncated >= 4
     explorations.clear()
     main(["home-clusters", str(CORPUS / "n3.net"), "--method", "both", "--max-states", "3"])
-    n3 = reference_net("n3")
     assert sum(explorations.values()) == 1 + _applicable_rings(n3.net, n3.initial)
 
 

@@ -342,8 +342,10 @@ def test_strong_components_match_mutual_reachability():
 def test_exploration_limits_have_one_knob():
     from dataclasses import fields
     assert [f.name for f in fields(ExplorationLimits)] == ["max_states"]
-    with pytest.raises(ValueError):
-        ExplorationLimits(max_states=0)
+    # a cap that is not a positive int: bool is an int subclass, 1.5 compares
+    for bad in (0, 1.5, True, "5"):
+        with pytest.raises(ValueError, match="positive integer"):
+            ExplorationLimits(max_states=bad)
 
 
 def test_report_decides_liveness_and_bound_once(n1, monkeypatch):

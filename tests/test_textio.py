@@ -47,11 +47,10 @@ def test_parse_n2_matches_reference(n2):
 
 
 @pytest.mark.parametrize("ident", ["n1", "n2", "n3", "n4", "n5"])
-def test_corpus_files_match_reference_nets(ident):
-    from lucentnet import reference_net
+def test_corpus_files_match_reference_nets(ident, request):
     text = (CORPUS / f"{ident}.net").read_text()
     net, m0 = parse_net(text).to_net()
-    ref = reference_net(ident)
+    ref = request.getfixturevalue(ident)
     assert net == ref.net and m0 == ref.initial
 
 
