@@ -25,10 +25,8 @@ from .paths import (DisentangledPath, Path, RootedPathResult, disentangle,
                     is_disentangled, is_path, verify_expedite_safe,
                     verify_path_safety)
 from .homecluster import (ClusterDetail, HomeClusterReport, ShortCircuitResult,
-                          check_detection_equivalence,
-                          check_strongly_connected_home_cluster,
-                          classify_dead_end, clean, extended_cluster,
-                          find_home_clusters, is_home_cluster_direct,
+                          check_detection_equivalence, classify_dead_end, clean,
+                          extended_cluster, find_home_clusters, is_home_cluster_direct,
                           short_circuit, support_closure)
 from .corpus import (GeneratorParams, ReferenceNet, SuiteReport,
                      all_reference_nets, generate, run_theorem_suite,

@@ -268,6 +268,8 @@ def verify_reference_net(ref: ReferenceNet,
     rg = rg or explore(net, m0, limits)
     luc = lucency.check_lucency(net, m0, limits, rg=rg)
     hc = homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
+    bound = functools.cache(lambda: bound_k(net, m0, limits, rg=rg))
+    transparent = functools.cache(lambda: lucency.is_fully_transparent(net, m0, limits, rg=rg))
     undecided = set() if rg.complete else {"reachable_count", "reachable_markings",
                                            "distinct_footprints", "dead_places",
                                            "dead_transitions"}
@@ -296,9 +298,9 @@ def verify_reference_net(ref: ReferenceNet,
                 return None
             return (luc.witness[0], luc.witness[1], luc.footprint)
         if prop == "bounded_k":
-            return bound_k(net, m0, limits, rg=rg).k
+            return bound().k
         if prop == "safe":
-            return is_safe(net, m0, limits, rg=rg).value
+            return bound().safe().value
         if prop == "live":
             return is_live(net, m0, limits, rg=rg).value
         if prop == "deadlock_free":
@@ -318,9 +320,9 @@ def verify_reference_net(ref: ReferenceNet,
         if prop == "perpetual":
             return is_perpetual(net, m0, limits, rg=rg).value
         if prop == "fully_transparent":
-            return lucency.is_fully_transparent(net, m0, limits, rg=rg).value
+            return transparent().value
         if prop == "non_transparent_marking":
-            v = lucency.is_fully_transparent(net, m0, limits, rg=rg)
+            v = transparent()
             if v.witness is None:
                 return None
             return (v.witness, tuple(sorted(enabled_transitions(net, v.witness))))
@@ -504,6 +506,8 @@ def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
 
 
 def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
+    # each fact of the net is computed once and every row reads it; safety
+    # and liveness just before their first row, and only where a row needs them
     rg = rg or explore(net, m0, limits)
     fc = is_free_choice(net)
     proper = is_proper(net)
@@ -515,14 +519,13 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
     # as a methods-agree or equivalence anomaly.  For home clusters the
     # ring's structure is judged too (a sink place reachable besides a
     # non-home cluster refutes its strong connectivity)
-    checked = homecluster._short_circuit_applies(net, m0)
     homes, conflict, struct_results, equiv_results = [], "", [], []
     for d, ring, ring_v, graph in homecluster._cluster_walk(net, m0, limits, "both", rg,
                                                           rings=True):
         conflict = conflict or homecluster._disagreement(d)
         if d.is_home:
             homes.append(d.cluster)
-        if checked and ring is not None:
+        if ring is not None:
             equiv_results.append(homecluster._judge_equivalence(
                 rg, d.cluster, ring, graph, d.direct, ring_v.value))
             if d.is_home:
@@ -531,7 +534,8 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
             graphs.setdefault((ring.net, m0), graph)
         del ring, graph  # two live ring graphs would double peak memory
     row = functools.partial(report.record, name)
-    row("detection-methods-agree", bool(conflict) or (checked and rg.complete),
+    row("detection-methods-agree",
+        bool(conflict) or (homecluster._short_circuit_applies(net, m0) and rg.complete),
         not conflict, conflict)
 
     # lucency forces a finite, bounded state space
@@ -542,9 +546,10 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
     row("fully-transparent-implies-lucent", ft.value is True, luc.lucent is True,
         f"lucent={luc.lucent}")
 
-    if proper and fc and homes:
+    home_class = proper and fc and bool(homes)
+    safe = is_safe(net, m0, limits, rg=rg).value if home_class else None
+    if home_class:
         row("home-cluster-implies-lucent", True, luc.lucent is True, _lucency_detail(luc))
-        safe = is_safe(net, m0, limits, rg=rg).value
         row("home-cluster-implies-safe", True, safe is True, f"safe={safe}")
         try:
             pairs = lucency.find_conflict_pairs(net, m0, limits, rg=rg)
@@ -576,16 +581,21 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
                       "home-cluster-rooted-paths-safe", "dead-end-dichotomy"):
             row(check, False)
 
-    sc_check = homecluster.check_strongly_connected_home_cluster(net, m0, limits, rg=rg)
-    for check, results in (("strongly-connected-home-cluster-live", [sc_check]),
-                           ("short-circuit-structure", struct_results),
+    # after the rooted paths, which decode their states first.  A strongly connected
+    # net is proper, and on a complete graph the walk's home clusters are the direct ones
+    live = rg.live().value if fc else None
+    row("strongly-connected-home-cluster-live",
+        home_class and rg.complete and connectivity(net) == "strong",
+        live is True and safe is True and luc.lucent is True,
+        f"live={live} safe={safe} lucent={luc.lucent}")
+    for check, results in (("short-circuit-structure", struct_results),
                            ("detection-equivalence", equiv_results)):
         applicable = [r for r in results if r.applicable]
         row(check, bool(applicable), all(r.passed for r in applicable),
             "; ".join(r.details for r in applicable if not r.passed))
 
-    row("perpetual-implies-proper", fc and is_perpetual(net, m0, limits, rg=rg).value is True,
-        proper, f"proper={proper}")
+    # a live net's graph is complete, so it is bounded: perpetual with a home cluster
+    row("perpetual-implies-proper", live is True and bool(homes), proper, f"proper={proper}")
 
 
 def _lucency_detail(luc):

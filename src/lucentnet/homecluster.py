@@ -29,11 +29,10 @@ from typing import FrozenSet, Iterator, Optional, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
                      RequiresSafeMarking, TheoremViolation, UndecidedError)
-from .lucency import check_lucency
 from .net import Cluster, Marking, PetriNet, connectivity, is_free_choice, is_proper, mrk
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            dead_transitions, explore, is_deadlock_free,
-                           is_live, is_live_and_bounded, is_safe)
+                           is_live_and_bounded)
 
 
 def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
@@ -326,6 +325,8 @@ def classify_dead_end(net: PetriNet, m0: Marking, cluster: Cluster,
 
 
 # -- structural / equivalence checks ----------------------------------------
+# Judgements of one cluster's ring, which the theorem suite applies to the
+# rings its walk explores; :func:`check_detection_equivalence` builds its own.
 
 
 @dataclass(frozen=True)
@@ -334,26 +335,6 @@ class CheckResult:
     applicable: bool
     passed: Optional[bool]
     details: str = ""
-
-
-def check_strongly_connected_home_cluster(net: PetriNet, m0: Marking,
-                                          limits: Optional[ExplorationLimits] = None,
-                                          rg: Optional[ReachabilityGraph] = None
-                                          ) -> CheckResult:
-    """Strongly connected free-choice net with a home cluster: must be
-    live, safe, and lucent."""
-    name = "strongly-connected-home-cluster"
-    if connectivity(net) != "strong" or not is_free_choice(net):
-        return CheckResult(name, False, None, "net not strongly connected free-choice")
-    rg = rg or explore(net, m0, limits)
-    if not (rg.complete and any(rg.is_home(mrk(c)) for c in net.clusters())):
-        return CheckResult(name, False, None, "no home cluster")
-    live = is_live(net, m0, limits, rg=rg)
-    safe = is_safe(net, m0, limits, rg=rg)
-    lucent = check_lucency(net, m0, limits, rg=rg)
-    ok = live.value is True and safe.value is True and lucent.lucent is True
-    return CheckResult(name, True, ok,
-                       f"live={live.value} safe={safe.value} lucent={lucent.lucent}")
 
 
 def _judge_structure(cluster: Cluster, sc: ShortCircuitResult) -> CheckResult:

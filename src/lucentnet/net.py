@@ -213,10 +213,10 @@ class PetriNet:
 
         Only what the new node can break is checked (a fresh valid name,
         arcs to places, at least one arc); on a fault the full build runs
-        and raises its :class:`NetStructureError`.  ``fresh`` joins the
-        clusters of its input places, or stands alone when it has none.
-        The new net shares this one's preset and postset lists, except the
-        new ones of ``fresh`` and of the places it touches.
+        and raises its :class:`NetStructureError`.  The new net shares this
+        one's preset and postset lists, except the new ones of ``fresh`` and
+        of the places it touches; its clusters come from :meth:`clusters`
+        on first use, as a built net's do.
         """
         arcs = [(p, fresh) for p in inputs] + [(fresh, p) for p in outputs]
         flow = self.flow.union(arcs)
@@ -236,12 +236,7 @@ class PetriNet:
             post[p] = post[p] + [fresh]
         for p in outputs:
             pre[p] = pre[p] + [fresh]
-        net._compiled = None
-        joined = {self.cluster_of(p) for p in inputs}
-        grown = Cluster(tuple(sorted(chain.from_iterable(c.places for c in joined))),
-                        tuple(sorted(chain([fresh], *(c.transitions for c in joined)))))
-        net._set_clusters(sorted([c for c in self.clusters() if c not in joined] + [grown],
-                                 key=Cluster.sort_key))
+        net._compiled = net._clusters = net._cluster_of = None
         return net
 
     # -- identity ---------------------------------------------------------
@@ -316,12 +311,9 @@ class PetriNet:
                                 block.append(z)
                     clusters.append(Cluster(tuple(sorted(filter(places.__contains__, block))),
                                             tuple(sorted(z for z in block if z not in places))))
-            self._set_clusters(sorted(clusters, key=Cluster.sort_key))
+            self._clusters = tuple(sorted(clusters, key=Cluster.sort_key))
+            self._cluster_of = {x: c for c in self._clusters for x in c.places + c.transitions}
         return self._clusters
-
-    def _set_clusters(self, clusters: Sequence[Cluster]):
-        self._clusters = tuple(clusters)
-        self._cluster_of = {x: c for c in self._clusters for x in c.places + c.transitions}
 
     def cluster_of(self, node: str) -> Cluster:
         """The cluster containing ``node``."""

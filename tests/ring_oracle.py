@@ -6,11 +6,14 @@ from arc lists, kept as the oracle for ``PetriNet.with_transition`` and
 Also the from-scratch home-cluster checks: :func:`is_home_cluster_short_circuit`
 and :func:`check_short_circuit_structure` build and explore one cluster's
 ring on its own, the oracle for the verdicts read off the base graph and
-off the theorem suite's shared rings; :func:`conn` is plain graph
-reachability, the oracle that ``homecluster.support_closure`` refines."""
+off the theorem suite's shared rings; :func:`check_strongly_connected_home_cluster`
+works out every fact it needs again, the oracle for the suite row that reads
+the suite's own verdicts; :func:`conn` is plain graph reachability, the
+oracle that ``homecluster.support_closure`` refines."""
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
-                       NodeNotFound, PetriNet, is_free_choice, is_proper, short_circuit)
+                       NodeNotFound, PetriNet, check_lucency, connectivity, explore,
+                       is_free_choice, is_live, is_proper, is_safe, mrk, short_circuit)
 from lucentnet.homecluster import (CheckResult, ShortCircuitResult, _fresh_transition_name,
                                    _judge_structure, _ring_verdict, _short_circuit_applies)
 from lucentnet.net import _reachable
@@ -73,3 +76,20 @@ def check_short_circuit_structure(net, cluster, m0):
     except (ClusterNotConnected, CleanedNetInvalid) as exc:
         return CheckResult(name, False, None, str(exc))
     return _judge_structure(cluster, sc)
+
+
+def check_strongly_connected_home_cluster(net, m0, limits=None, rg=None):
+    """Strongly connected free-choice net with a home cluster: must be
+    live, safe, and lucent."""
+    name = "strongly-connected-home-cluster"
+    if connectivity(net) != "strong" or not is_free_choice(net):
+        return CheckResult(name, False, None, "net not strongly connected free-choice")
+    rg = rg or explore(net, m0, limits)
+    if not (rg.complete and any(rg.is_home(mrk(c)) for c in net.clusters())):
+        return CheckResult(name, False, None, "no home cluster")
+    live = is_live(net, m0, limits, rg=rg)
+    safe = is_safe(net, m0, limits, rg=rg)
+    lucent = check_lucency(net, m0, limits, rg=rg)
+    ok = live.value is True and safe.value is True and lucent.lucent is True
+    return CheckResult(name, True, ok,
+                       f"live={live.value} safe={safe.value} lucent={lucent.lucent}")

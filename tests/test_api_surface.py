@@ -16,7 +16,7 @@ PUBLIC = [
     "TheoremViolation", "UnboundednessWitness", "UndecidedError", "Verdict",
     "all_reference_nets", "bound_k", "build_report", "check_detection_equivalence",
     "check_lucency", "check_no_dominating", "check_pairwise_incomparable",
-    "check_strongly_connected_home_cluster", "classify_dead_end", "clean",
+    "classify_dead_end", "clean",
     "connectivity", "dead_places", "dead_transitions", "derive_conflict_pair",
     "disentangle", "document_of", "emit_report", "enabled_transitions", "expedite",
     "expedited_member", "explore", "extended_cluster", "find_conflict_pairs",

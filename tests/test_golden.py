@@ -2,9 +2,11 @@
 
 The files under ``tests/golden/`` hold the JSON output and exit code of
 every file subcommand on the reference nets, two seeded ``paper-suite``
-runs (one under a cap that truncates the reference nets), and a digest of
-the serialized random suite nets.  A refactor that changes none of the
-program's behaviour leaves them all untouched.
+runs (one under a cap that truncates the reference nets), a digest of
+the serialized random suite nets, and a digest of the exit code and JSON
+output of ``paper-suite --random 30`` for seeds 0..99, at the default cap
+and at ``--max-states 4``.  A refactor that changes none of the program's
+behaviour leaves them all untouched.
 
 Regenerate them (only for an intended change of output) with::
 
@@ -25,6 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 EXIT_CODES = GOLDEN / "exit-codes.json"
 SUITE_DIGEST = GOLDEN / "suite-nets-500-seed0.sha256"
+SEEDS_DIGEST = GOLDEN / "paper-suite-random30-seeds0-99.sha256"
 
 COMMANDS = ("analyze", "lucency", "home-clusters", "reach")
 NETS = ("n1", "n2", "n3", "n4", "n5")
@@ -64,6 +67,18 @@ def suite_digest() -> str:
     return h.hexdigest() + "\n"
 
 
+def seeds_digest() -> str:
+    """One hash over ``paper-suite --random 30`` for seeds 0..99, two caps."""
+    h = hashlib.sha256()
+    for cap in ([], ["--max-states", "4"]):
+        for seed in range(100):
+            rc, out = run_cli(["paper-suite", "--random", "30", "--seed", str(seed),
+                               "--format", "json", *cap])
+            h.update(f"{rc}\n".encode())
+            h.update(out.encode())
+    return h.hexdigest() + "\n"
+
+
 def test_cli_outputs_match_golden():
     codes = json.loads(EXIT_CODES.read_text())
     for fname, argv in cases():
@@ -76,6 +91,10 @@ def test_suite_nets_match_golden():
     assert suite_digest() == SUITE_DIGEST.read_text()
 
 
+def test_paper_suite_seeds_match_golden():
+    assert seeds_digest() == SEEDS_DIGEST.read_text()
+
+
 def write():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -84,6 +103,7 @@ def write():
         (GOLDEN / fname).write_text(out)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     SUITE_DIGEST.write_text(suite_digest())
+    SEEDS_DIGEST.write_text(seeds_digest())
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@ import pytest
 
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected, Marking,
                        NodeNotFound, PetriNet, RequiresSafeMarking, check_detection_equivalence,
-                       check_strongly_connected_home_cluster, classify_dead_end,
-                       clean, connectivity, explore, extended_cluster,
+                       classify_dead_end, clean, connectivity, explore, extended_cluster,
                        find_home_clusters, is_free_choice,
                        is_home_cluster_direct, short_circuit, support_closure)
-from ring_oracle import check_short_circuit_structure, conn, is_home_cluster_short_circuit
+from ring_oracle import (check_short_circuit_structure, check_strongly_connected_home_cluster,
+                         conn, is_home_cluster_short_circuit)
 
 
 def test_conn(n1, n3):
