@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Tuple
 
 from .errors import (CleanedNetInvalid, ClusterNotConnected, NetStructureError,
-                     RequiresSafeMarking, TheoremViolation, UndecidedError)
+                     NodeNotFound, RequiresSafeMarking, TheoremViolation, UndecidedError)
 from .net import Cluster, Marking, PetriNet, connectivity, is_free_choice, is_proper, mrk
 from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            dead_transitions, explore, is_deadlock_free,
@@ -43,12 +43,14 @@ def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
     This refines plain graph reachability: a transition can be
     graph-reachable while one of its input places never gets marked, and
     such a transition never fires.  A worklist counts each transition's
-    inputs not yet in the set, so every arc is read once.
+    inputs not yet in the set, so every arc is read once.  As for
+    :func:`explore`, a marked non-place raises :class:`NodeNotFound`.
     """
-    pre, post = net._pre, net._post
+    pre, post, places = net._pre, net._post, set(m0.support())
+    if not net._place_set.issuperset(places):
+        raise NodeNotFound(f"initial marking marks non-places: {sorted(places - net._place_set)}")
     waiting = {t: len(pre[t]) for t in net.transitions}
-    places = set(m0.support())
-    todo = [p for p in places if p in net._place_set] + [t for t, n in waiting.items() if not n]
+    todo = [*places, *(t for t, n in waiting.items() if not n)]
     for x in todo:  # grows while it is read
         for y in post[x]:
             if y in waiting:  # x is a place in the set, y one of its output transitions

@@ -54,7 +54,7 @@ from itertools import accumulate, compress, islice
 from operator import or_
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import UndecidedError
+from .errors import NodeNotFound, UndecidedError
 from .net import Marking, PetriNet, compiled, mrk
 
 COMPLETE = "complete"
@@ -150,25 +150,24 @@ class ReachabilityGraph:
 
     def rows(self, indices) -> List[List[str]]:
         """The ``place:count`` strings (``Marking.as_strings``) of each state of
-        ``indices``, read off the packed state unless fields are wider or ``extra``."""
+        ``indices``, read off the packed state unless fields are wider."""
         lay = self._layout
-        if lay.extra or lay.width > 1:
+        if lay.width > 1:
             return [list(self.marking(i).as_strings()) for i in indices]
         return lay.pick(map(self._packed.__getitem__, indices), lay.labels)
 
     def index_of(self, m: Marking) -> Optional[int]:
         """The index of ``m``, or None when it was not explored."""
-        s, foreign = self._layout.pack(m)
-        return self._index.get(s) if foreign == self._layout.extra else None
+        return self._index.get(self._layout.pack(m))
 
     def contains(self, m: Marking) -> bool:
         return self.index_of(m) is not None
 
     def same_states(self, other: "ReachabilityGraph") -> bool:
         """Both graphs hold the same markings: compared packed when the two
-        layouts agree on places, width and ``extra``, else decoded."""
+        layouts agree on places and width, else decoded."""
         a, b = self._layout, other._layout
-        if (a.places, a.width, a.extra) == (b.places, b.width, b.extra):
+        if (a.places, a.width) == (b.places, b.width):
             return self._index.keys() == other._index.keys()
         return set(self.states) == set(other.states)
 
@@ -179,8 +178,8 @@ class ReachabilityGraph:
 
     def above(self, m: Marking) -> Optional[int]:
         """The first state strictly above ``m`` (no count below m's, more tokens), or None."""
-        s, foreign = self._layout.pack(m)
-        if s is None or not Marking(foreign).leq(Marking(self._layout.extra)):
+        s = self._layout.pack(m)
+        if s is None:
             return None
         g, size = self._layout.guard, len(m)
         return next((i for i, n in enumerate(self.sizes)
@@ -370,19 +369,17 @@ class _Layout:
     docstring; ``ones`` is ``ONES``, ``guard`` is ``G``, ``need[t]`` is
     ``preg[t]``, firing t adds ``delta[t]``, and ``lose[t]``/``gain[t]`` are
     the outputs of the places firing t takes from/puts on, self-loop places
-    left out).  ``extra`` holds the initial marking's items on places outside
-    the net, carried by every state."""
+    left out).  Only the net's places have fields."""
 
-    __slots__ = ("width", "field", "ones", "guard", "places", "index", "extra", "labels",
+    __slots__ = ("width", "field", "ones", "guard", "places", "index", "labels",
                  "dense", "need", "delta", "lose", "gain")
 
-    def __init__(self, form, places, extra, w: int):
+    def __init__(self, form, places, w: int):
         f, at = w + 1, form.place_index
-        self.width = w
-        self.field = f
+        self.width, self.field = w, f
         self.ones = ((1 << (len(at) * f)) - 1) // ((1 << f) - 1)
         self.guard = self.ones << w
-        self.places, self.index, self.extra = places, at, extra
+        self.places, self.index = places, at
         self.labels = [f"{p}:1" for p in places]  # the strings of a safe state
         self.dense = min(_DENSE, (len(places) + 128) // 24)  # marks from which pick reads digits
         self.need, self.delta, self.lose, self.gain = [], [], [], []
@@ -405,16 +402,15 @@ class _Layout:
             self.lose.append(lose)
             self.gain.append(gain)
 
-    def pack(self, m: Marking):
-        """m's counts on the net's places packed (None if one is too wide), and m's other items."""
-        s, foreign = 0, []
+    def pack(self, m: Marking) -> Optional[int]:
+        """m packed, or None if m marks a non-place or a count too wide for a field."""
+        s, index, f, w = 0, self.index, self.field, self.width
         for p, n in m.items:
-            i = self.index.get(p)
-            if i is None:
-                foreign.append((p, n))
-            elif s is not None:
-                s = None if n >> self.width else s | n << (i * self.field)
-        return s, tuple(foreign)
+            i = index.get(p)
+            if i is None or n >> w:
+                return None
+            s |= n << (i * f)
+        return s
 
     def pick(self, states, items: Sequence) -> List[list]:
         """For each packed state, the items (one per place) at the places it
@@ -444,9 +440,8 @@ class _Layout:
 
     def marking(self, s: int) -> Marking:
         f, w = self.field, self.width
-        items = [(self.places[i], 1 if w == 1 else (s >> (i * f)) & ((1 << w) - 1))
-                 for i in self.marked(s)]
-        return Marking(tuple(sorted(items + list(self.extra)) if self.extra else items))
+        return Marking(tuple((self.places[i], 1 if w == 1 else (s >> (i * f)) & ((1 << w) - 1))
+                             for i in self.marked(s)))
 
 
 def explore(net: PetriNet, m0: Marking,
@@ -456,7 +451,8 @@ def explore(net: PetriNet, m0: Marking,
     Stops with verdict ``unbounded`` (plus a replayable witness) as soon as
     a newly generated marking strictly dominates an ancestor on its own
     exploration path, and with ``truncated`` if more than ``max_states``
-    distinct markings would be needed.
+    distinct markings would be needed.  ``m0`` may mark only places of the
+    net: any other item raises :class:`NodeNotFound` before the search.
 
     The search runs on packed markings (see the module docstring).  It
     starts with fields as wide as the largest initial count needs and, the
@@ -465,12 +461,14 @@ def explore(net: PetriNet, m0: Marking,
     """
     limits = limits or ExplorationLimits()
     form = compiled(net)
-    index = form.place_index
-    extra = tuple((p, n) for p, n in m0.items if p not in index)
-    w = max(1, max((n for p, n in m0.items if p in index), default=0).bit_length())
+    w = max(1, max((n for _, n in m0.items), default=0).bit_length())
     while True:
-        layout = _Layout(form, net.places, extra, w)
-        run = _search(form, layout, layout.pack(m0)[0], len(m0), limits.max_states)
+        layout = _Layout(form, net.places, w)
+        s0 = layout.pack(m0)
+        if s0 is None:  # every count fits at w: m0 marks a non-place
+            bad = [p for p in m0.support() if p not in layout.index]
+            raise NodeNotFound(f"initial marking marks non-places: {bad}")
+        run = _search(form, layout, s0, len(m0), limits.max_states)
         if run is not None:
             break
         w *= 2
@@ -612,7 +610,7 @@ def bound_k(net: PetriNet, m0: Marking,
                 else:
                     hi = mid
             k, step = lo, (lo + 1) * ones
-    return BoundednessResult("bounded", k=max([k] + [n for _, n in lay.extra]))
+    return BoundednessResult("bounded", k=k)
 
 
 def is_safe(net, m0, limits=None, rg=None) -> Verdict:

@@ -48,6 +48,16 @@ def test_clean(n1):
     assert cleaned.places == ("p",) and cleaned.transitions == ("t1",)
 
 
+def test_clean_rejects_a_marked_transition():
+    # kept, t1 would lose its input r and become a source of tokens on q:
+    # the cleaned net would be unbounded from p, the net itself is not
+    net = PetriNet(["p", "q", "r"], ["t0", "t1"],
+                   [("p", "t0"), ("t0", "q"), ("r", "t1"), ("t1", "q")])
+    with pytest.raises(NodeNotFound):
+        clean(net, Marking.of("p", "t1"))
+    assert explore(net, Marking.of("p")).verdict == "complete"
+
+
 def test_clean_dead_start_is_invalid():
     # the marked place enables nothing, so no transition survives
     net = PetriNet(["a", "b"], ["t"], [("a", "t"), ("t", "b")])

@@ -5,8 +5,11 @@ generated free-choice nets and on rings derived by ``with_transition``."""
 import random
 import string
 
+import pytest
+
 from lucentnet import (CleanedNetInvalid, ClusterNotConnected, Marking, NetStructureError,
-                       PetriNet, is_free_choice, short_circuit, suite_nets, support_closure)
+                       NodeNotFound, PetriNet, is_free_choice, short_circuit, suite_nets,
+                       support_closure)
 from lucentnet.corpus import GeneratorParams, generate
 import net_oracle
 
@@ -98,15 +101,22 @@ def test_rings_keep_the_partition_of_a_full_build():
 
 def test_support_closure_matches_the_fixpoint():
     rng = random.Random(404)
-    pairs = 0
+    pairs = rejected = 0
     for net in random_nets(rng, 2000):
         for _ in range(2):
-            # marked names may be places, transitions, or no node of the net
+            # marked names may be places, transitions, or no node of the net;
+            # a marking that names anything but places is refused, and its
+            # places alone are compared
             pool = list(net.places) + ["zz", "yy"] + list(net.transitions[:1])
             m0 = Marking.of(*rng.sample(pool, rng.randint(0, min(4, len(pool)))))
-            assert support_closure(net, m0) == net_oracle.support_closure(net, m0)
+            places = Marking(tuple(item for item in m0.items if net.is_place(item[0])))
+            if places != m0:
+                with pytest.raises(NodeNotFound):
+                    support_closure(net, m0)
+                rejected += 1
+            assert support_closure(net, places) == net_oracle.support_closure(net, places)
             pairs += 1
     for _, net, m0 in suite_nets(random_count=100, seed=9):
         assert support_closure(net, m0) == net_oracle.support_closure(net, m0)
         pairs += 1
-    assert pairs > 4000
+    assert pairs > 4000 and rejected > 1000

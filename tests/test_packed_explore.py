@@ -11,9 +11,10 @@ import tracemalloc
 
 import pytest
 
-from lucentnet import (ExplorationLimits, Marking, NetStructureError, PetriNet,
-                       all_reference_nets, dead_transitions, enabled_transitions,
-                       explore, suite_nets)
+from lucentnet import (ExplorationLimits, Marking, NetStructureError, NodeNotFound, PetriNet,
+                       all_reference_nets, bound_k, build_report, check_lucency, clean,
+                       dead_transitions, enabled_transitions, explore, find_home_clusters,
+                       short_circuit, suite_nets, support_closure)
 from lucentnet import reachability
 from lucentnet.net import compiled, enabled_list
 from lucentnet.textio import MAX_INIT_TOKENS
@@ -178,10 +179,17 @@ def test_unbounded_pump_across_field_widths(widths):
         assert_same(counter, Marking.from_counts({"a": n, "b": n, "c": 2 * n}))
 
 
-def test_places_outside_the_net_are_carried():
-    net, m0 = ring(4)
-    rg = assert_same(net, m0 + Marking.of("zz", "zz", "aa"))
-    assert all(m.count("zz") == 2 and m.count("aa") == 1 for m in rg.states)
+def test_markings_of_non_places_are_rejected(n1):
+    # a misspelled place, an item added to the net's own marking, and a
+    # transition: every analysis that explores or cleans refuses them
+    cluster = n1.net.clusters()[0]
+    analyses = [explore, check_lucency, bound_k, find_home_clusters,
+                lambda net, m: build_report("n1", net, m), support_closure, clean,
+                lambda net, m: short_circuit(net, cluster, m)]
+    for m in (Marking.of("p1x"), n1.initial + Marking.of("zz"), Marking.of("t1")):
+        for analysis in analyses:
+            with pytest.raises(NodeNotFound):
+                analysis(n1.net, m)
 
 
 def test_enabled_list_is_place_driven_and_in_identifier_order():
@@ -359,7 +367,7 @@ def test_dense_and_sparse_decodes_match_markings(width):
     # (the layout's threshold set to 10**9 and to 0), and by whichever the
     # mark count picks
     net, _ = ring(300)
-    layout = reachability._Layout(compiled(net), net.places, (), width)
+    layout = reachability._Layout(compiled(net), net.places, width)
     rng = random.Random(width)
     dense = layout.dense
     assert 0 < dense < 300
@@ -367,7 +375,7 @@ def test_dense_and_sparse_decodes_match_markings(width):
         for _ in range(5):
             m = Marking.from_counts({p: rng.randint(1, 2 ** width - 1)
                                      for p in rng.sample(net.places, marks)})
-            s, _ = layout.pack(m)
+            s = layout.pack(m)
             want = sorted(layout.index[p] for p in m.support())
             for switch in (10 ** 9, 0, dense):
                 layout.dense = switch
