@@ -35,6 +35,14 @@ from .reachability import (ExplorationLimits, ReachabilityGraph, Verdict,
                            is_live_and_bounded)
 
 
+def _require_places(net: PetriNet, m0: Marking) -> None:
+    """Raise :class:`NodeNotFound`, as :func:`explore` does, if ``m0``
+    marks a node that is not a place of ``net``."""
+    bad = [p for p in m0.support() if p not in net._place_set]
+    if bad:
+        raise NodeNotFound(f"initial marking marks non-places: {bad}")
+
+
 def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
     """Nodes that can ever carry a token or fire: the marked places,
     every transition whose whole preset is already in the set, and that
@@ -46,9 +54,8 @@ def support_closure(net: PetriNet, m0: Marking) -> FrozenSet[str]:
     inputs not yet in the set, so every arc is read once.  As for
     :func:`explore`, a marked non-place raises :class:`NodeNotFound`.
     """
+    _require_places(net, m0)
     pre, post, places = net._pre, net._post, set(m0.support())
-    if not net._place_set.issuperset(places):
-        raise NodeNotFound(f"initial marking marks non-places: {sorted(places - net._place_set)}")
     waiting = {t: len(pre[t]) for t in net.transitions}
     todo = [*places, *(t for t, n in waiting.items() if not n)]
     for x in todo:  # grows while it is read
@@ -187,7 +194,8 @@ def find_home_clusters(net: PetriNet, m0: Marking,
     :class:`TheoremViolation`.  The short-circuit method silently steps
     aside for clusters (or nets) outside its preconditions: non-free-choice
     nets, non-proper nets, multiset initial markings, clusters not fully
-    reachable from the marking.
+    reachable from the marking.  Every method raises :class:`NodeNotFound`
+    for an ``m0`` that marks a non-place.
     """
     if method not in ("direct", "short-circuit", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -215,6 +223,7 @@ def _cluster_walk(net, m0, limits, method, rg, rings=False) -> Iterator[tuple]:
     A reader must drop the ring before the next step: two live ring graphs
     double peak memory.
     """
+    _require_places(net, m0)  # on every route, explored or not
     want_direct = method in ("direct", "both")
     want_sc = method in ("short-circuit", "both")
     cleaned = kept = read = None

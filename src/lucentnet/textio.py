@@ -7,10 +7,16 @@ Grammar (one statement per line, lines end at "\\n" only, ``#`` starts a comment
     trans IDENT
     arc IDENT -> IDENT
 
-The header must come first; arcs must connect a place and a transition.
-NAT is ASCII digits with a value of at most ``MAX_INIT_TOKENS``.
-Serialization sorts all declarations, so serialize(parse(text)) is a
-fixpoint.
+The header must come first; arcs must connect a place and a transition
+declared on an earlier line.  NAT is ASCII digits with a value of at most
+``MAX_INIT_TOKENS``.  Serialization sorts all declarations, so
+serialize(parse(text)) is a fixpoint.
+
+Parsing checks in bulk: one pass reads each statement's shape, and the
+one ``PetriNet`` build checks names, duplicates and arcs.  A document with
+a fault, or with a declaration after an arc, is read again line by line,
+checking each statement as it is read: that pass raises the first fault
+by line, or returns the valid document.
 """
 
 from __future__ import annotations
@@ -58,6 +64,56 @@ def parse_net(text: str) -> NetDocument:
     lines = text.split("\n")
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
+    doc = _read_bulk(lines)
+    return doc if doc is not None else _check_lines(lines)
+
+
+def _read_bulk(lines: List[str]) -> Optional[NetDocument]:
+    """The document, read in one pass over the statements' shapes and
+    checked by the one ``PetriNet`` build, in bulk; or None for anything
+    else (a statement out of shape, a header not first or not alone, a
+    declaration after an arc, a net the build rejects)."""
+    rows = map(str.split, lines)  # one row alive at a time
+    for fields in rows:
+        if fields:
+            break
+    else:
+        return None
+    if len(fields) != 2 or fields[0] != "net" or not is_identifier(fields[1]):
+        return None
+    name = fields[1]
+    places: List[Tuple[str, int]] = []
+    transitions: List[str] = []
+    arcs: List[Arc] = []
+    for fields in rows:
+        if not fields:
+            continue
+        kind, n = fields[0], len(fields)
+        if kind == "arc" and n == 4 and fields[2] == "->":
+            arcs.append((fields[1], fields[3]))
+        elif arcs:  # with every declaration first, "declared above" is "a node"
+            return None
+        elif kind == "trans" and n == 2:
+            transitions.append(fields[1])
+        elif kind == "place" and n == 2:
+            places.append((fields[1], 0))
+        elif (kind == "place" and n == 4 and fields[2] == "init" and fields[3].isascii()
+              and fields[3].isdigit() and len(fields[3]) <= len(str(MAX_INIT_TOKENS))
+              and int(fields[3]) <= MAX_INIT_TOKENS):
+            places.append((fields[1], int(fields[3])))
+        else:
+            return None
+    doc = NetDocument(name, tuple(places), tuple(transitions), tuple(arcs))
+    try:
+        doc.to_net()
+    except NetStructureError:
+        return None
+    return doc
+
+
+def _check_lines(lines: List[str]) -> NetDocument:
+    """Each statement checked as it is read, so the first fault by line is
+    the one raised; the path of documents :func:`_read_bulk` declines."""
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if fields:

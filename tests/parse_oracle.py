@@ -1,5 +1,6 @@
-"""The parser and constructor checks that the one-pass ``textio.parse_net``
-and the bulk checks of ``PetriNet.__init__`` replaced, kept as their test
+"""The parser and constructor checks that ``textio.parse_net`` (a bulk
+happy path, with a line checker that names the first fault by line) and
+the bulk checks of ``PetriNet.__init__`` replaced, kept as their test
 oracle: every statement and every item is checked on its own, in order.
 Lines end at "\\n" only, as they do in the parser."""
 

@@ -21,6 +21,15 @@ def test_conn(n1, n3):
         conn(net, Marking.of("zzz"))
 
 
+@pytest.mark.parametrize("method", ["direct", "short-circuit", "both"])
+@pytest.mark.parametrize("ident", ["n1", "n2"])  # inside and outside the hypothesis
+def test_every_method_rejects_a_marked_non_place(ident, method, request):
+    ref = request.getfixturevalue(ident)
+    for m0 in (Marking.of("zz"), ref.initial + Marking.of("zz")):
+        with pytest.raises(NodeNotFound, match=r"non-places: \['zz'\]"):
+            find_home_clusters(ref.net, m0, method=method)
+
+
 def test_support_closure_drops_half_reachable_transition():
     # t0 is graph-reachable via p0 but its second input p1 never gets a
     # token, so t0 can never fire and must not survive cleaning
