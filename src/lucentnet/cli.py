@@ -210,16 +210,19 @@ def _cmd_suite(args, limits) -> int:
     graphs = {}
     nets = corpus.suite_nets(random_count=args.random, seed=args.seed,
                              graphs=graphs if limits == ExplorationLimits() else None)
+    refs = [(ref, explore(ref.net, ref.initial, limits)) for ref in corpus.all_reference_nets()]
+    graphs.update(((ref.net, ref.initial), rg) for ref, rg in refs)
+    # the expectations read the suite's lucency verdicts and home clusters
+    verdicts = {}
+    suite = corpus.run_theorem_suite(nets, limits, graphs, verdicts)
     checked, failed, undecided = 0, [], []
-    for ref in corpus.all_reference_nets():
-        rg = graphs[ref.net, ref.initial] = explore(ref.net, ref.initial, limits)
-        rows = corpus.verify_reference_net(ref, limits, rg)
+    for ref, rg in refs:
+        rows = corpus.verify_reference_net(ref, limits, rg, *verdicts[ref.net, ref.initial])
         checked += len(rows)
         # an expectation missed on a graph the cap cut short is undecided
         missed = undecided if rg.verdict == TRUNCATED else failed
         missed.extend([ref.ident, prop, _shown(expected), _shown(got)]
                       for prop, expected, got, ok in rows if not ok)
-    suite = corpus.run_theorem_suite(nets, limits, graphs)
     if not suite.ok or failed:
         code, result = EXIT_VIOLATION, "ANOMALIES FOUND"
     elif undecided:

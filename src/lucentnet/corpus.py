@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -258,16 +257,20 @@ def all_reference_nets() -> Tuple[ReferenceNet, ...]:
 
 def verify_reference_net(ref: ReferenceNet,
                          limits: Optional[ExplorationLimits] = None,
-                         rg: Optional[ReachabilityGraph] = None):
+                         rg: Optional[ReachabilityGraph] = None,
+                         luc: Optional[lucency.LucencyVerdict] = None,
+                         hc: Optional[homecluster.HomeClusterReport] = None):
     """Evaluate every expected property, on ``rg`` when the net's graph is
-    given; returns rows of (property, expected, actual, ok).  An actual
-    value the graph does not decide reads ``None``, as an undecided verdict
-    does: the counts and dead nodes of an incomplete graph, and the home
-    clusters while some cluster's verdict is undecided."""
+    given, reading the lucency verdict ``luc`` and the home-cluster report
+    ``hc`` (method ``"both"``) when they were computed on it already;
+    returns rows of (property, expected, actual, ok).  An actual value the
+    graph does not decide reads ``None``, as an undecided verdict does: the
+    counts and dead nodes of an incomplete graph, and the home clusters
+    while some cluster's verdict is undecided."""
     net, m0 = ref.net, ref.initial
     rg = rg or explore(net, m0, limits)
-    luc = lucency.check_lucency(net, m0, limits, rg=rg)
-    hc = homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
+    luc = luc or lucency.check_lucency(net, m0, limits, rg=rg)
+    hc = hc or homecluster.find_home_clusters(net, m0, limits, method="both", rg=rg)
     bound = functools.cache(lambda: bound_k(net, m0, limits, rg=rg))
     transparent = functools.cache(lambda: lucency.is_fully_transparent(net, m0, limits, rg=rg))
     undecided = set() if rg.complete else {"reachable_count", "reachable_markings",
@@ -469,7 +472,9 @@ class SuiteReport:
         """Count one row: a skip unless the hypothesis ``applies``, else a
         pass if the conclusion ``holds`` and an anomaly with ``detail`` if not."""
         status = ("pass" if holds else "fail") if applies else "skip"
-        slot = self.counts.setdefault(check, {"pass": 0, "fail": 0, "skip": 0})
+        slot = self.counts.get(check)
+        if slot is None:
+            slot = self.counts[check] = {"pass": 0, "fail": 0, "skip": 0}
         slot[status] += 1
         if status == "fail":
             self.anomalies.append((net_name, check, detail))
@@ -481,15 +486,20 @@ class SuiteReport:
 
 def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
                       limits: Optional[ExplorationLimits] = None,
-                      graphs: Optional[Dict[tuple, ReachabilityGraph]] = None) -> SuiteReport:
-    """Evaluate every documented implication on every net, exploring each
-    distinct ``(net, m0)`` once.
+                      graphs: Optional[Dict[tuple, ReachabilityGraph]] = None,
+                      verdicts: Optional[Dict[tuple, tuple]] = None) -> SuiteReport:
+    """Evaluate every documented implication on every net, checking each
+    distinct ``(net, m0)`` once: a suite net equal to an earlier one records
+    that net's rows again under its own name.
 
     ``graphs`` maps ``(net, m0)`` to explorations under ``limits`` made
-    already; each is popped once its last net has read it.  The graph of a
-    ring that is also a later suite net (a ring variant of
+    already; each is popped when its net is checked, which runs on the
+    graph's own net (equal to the suite net, with the facts kept on it).
+    The graph of a ring that is also a later suite net (a ring variant of
     :func:`suite_nets`, which follows its source net) is kept there until
-    then, so at most one such graph is alive at a time.
+    then, so at most one such graph is alive at a time.  ``verdicts``, when
+    given, receives each net's lucency verdict and home-cluster report
+    (``None`` where the two methods disagree) for :func:`verify_reference_net`.
 
     A check whose hypotheses do not hold (or whose exploration was
     truncated) counts as a skip, so vacuous runs stay visible; any failed
@@ -497,17 +507,27 @@ def run_theorem_suite(nets: Sequence[Tuple[str, PetriNet, Marking]],
     """
     report = SuiteReport(nets=len(nets))
     graphs = {} if graphs is None else graphs
-    pending = Counter((net, m0) for _, net, m0 in nets)  # suite nets not yet checked
+    todo = {(net, m0) for _, net, m0 in nets}  # distinct suite nets not yet checked
+    checked: Dict[tuple, tuple] = {}  # (net, m0) -> (the net object checked, its rows)
     for name, net, m0 in nets:
-        pending[net, m0] -= 1
-        rg = graphs.get((net, m0)) if pending[net, m0] else graphs.pop((net, m0), None)
-        _run_net_checks(report, name, net, m0, limits, rg, graphs, pending)
+        done = checked.get((net, m0))
+        if done is None:
+            todo.discard((net, m0))
+            rg = graphs.pop((net, m0), None)
+            done = checked[net, m0] = (net if rg is None else rg.net), []
+            _run_net_checks(*done, m0, limits, rg, graphs, todo, checked, verdicts)
+        for row in done[1]:
+            report.record(name, *row)
     return report
 
 
-def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
-    # each fact of the net is computed once and every row reads it; safety
-    # and liveness just before their first row, and only where a row needs them
+def _run_net_checks(net, rows, m0, limits, rg, graphs, todo, checked, verdicts):
+    """Append the net's rows ``(check, applies, holds, detail)`` to ``rows``.
+    Each fact of the net is computed once and every row reads it; safety
+    and liveness just before their first row, and only where a row needs them."""
+    def row(check, applies, holds=None, detail=""):
+        rows.append((check, applies, holds, detail))
+
     rg = rg or explore(net, m0, limits)
     fc = is_free_choice(net)
     proper = is_proper(net)
@@ -519,21 +539,26 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
     # as a methods-agree or equivalence anomaly.  For home clusters the
     # ring's structure is judged too (a sink place reachable besides a
     # non-home cluster refutes its strong connectivity)
-    homes, conflict, struct_results, equiv_results = [], "", [], []
+    details, homes, conflict, struct_results, equiv_results = [], [], "", [], []
     for d, ring, ring_v, graph in homecluster._cluster_walk(net, m0, limits, "both", rg,
                                                           rings=True):
         conflict = conflict or homecluster._disagreement(d)
+        details.append(d)
         if d.is_home:
             homes.append(d.cluster)
         if ring is not None:
             equiv_results.append(homecluster._judge_equivalence(
                 rg, d.cluster, ring, graph, d.direct, ring_v.value))
-            if d.is_home:
-                struct_results.append(homecluster._judge_structure(d.cluster, ring))
-        if graph is not None and pending[ring.net, m0]:
+            if d.is_home:  # on the suite's own copy of a ring it checked, which keeps its facts
+                twin = checked.get((ring.net, m0))
+                struct_results.append(homecluster._judge_structure(
+                    d.cluster, ring if twin is None else replace(ring, net=twin[0])))
+        if graph is not None and (ring.net, m0) in todo:
             graphs.setdefault((ring.net, m0), graph)
         del ring, graph  # two live ring graphs would double peak memory
-    row = functools.partial(report.record, name)
+    if verdicts is not None:
+        verdicts[net, m0] = luc, None if conflict else homecluster.HomeClusterReport(
+            tuple(homes), "both", tuple(details))
     row("detection-methods-agree",
         bool(conflict) or (homecluster._short_circuit_applies(net, m0) and rg.complete),
         not conflict, conflict)
@@ -563,7 +588,7 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
         inc = lucency.check_pairwise_incomparable(net, m0, limits, rg=rg)
         row("home-cluster-markings-incomparable", True, inc.value is True,
             f"witness={inc.witness}")
-        bad = _rooted_path_faults(net, m0, homes, limits, rg)
+        bad = _rooted_path_faults(net, m0, homes, limits, rg)  # home clusters need a complete rg
         row("home-cluster-rooted-paths-safe", True, not bad, "; ".join(bad))
         try:
             for c in homes:
@@ -581,8 +606,8 @@ def _run_net_checks(report, name, net, m0, limits, rg, graphs, pending):
                       "home-cluster-rooted-paths-safe", "dead-end-dichotomy"):
             row(check, False)
 
-    # after the rooted paths, which decode their states first.  A strongly connected
-    # net is proper, and on a complete graph the walk's home clusters are the direct ones
+    # a strongly connected net is proper, and on a complete graph the
+    # walk's home clusters are the direct ones
     live = rg.live().value if fc else None
     row("strongly-connected-home-cluster-live",
         home_class and rg.complete and connectivity(net) == "strong",
@@ -606,19 +631,23 @@ def _lucency_detail(luc):
 
 
 def _rooted_path_faults(net, m0, homes, limits, rg) -> List[str]:
+    """For each home cluster and each place some state marks: no rooted
+    disentangled path, or one whose places hold two tokens at once.  Needs
+    a complete graph; in a net that is not free-choice a path may not be
+    disentangled, which raises :class:`InvalidPath`."""
+    if not rg.complete:
+        raise UndecidedError(f"rooted-path safety needs a complete exploration ({rg.verdict})")
     bad = []
+    marked = [p for p in net.places if p in rg.marked_places()]  # a dead place starts no path
     for cluster in homes:
-        for p in net.places:
+        for p in marked:
             result = paths.find_rooted_path(net, m0, p, cluster, limits, rg=rg)
-            if result.reason == "dead-place":
-                continue
             if not result.found:
                 bad.append(f"{p}: no path to {cluster.pretty()}")
                 continue
             v = paths.verify_path_safety(net, m0, result.path, limits, rg=rg)
-            if v.value is not True:
-                bad.append(f"{p}: unsafe path {list(result.path.nodes)} at "
-                           f"{v.witness.pretty() if v.witness else '?'}")
+            if not v.value:
+                bad.append(f"{p}: unsafe path {list(result.path.nodes)} at {v.witness.pretty()}")
     return bad
 
 
@@ -671,10 +700,12 @@ def suite_nets(random_count: int = 0, seed: int = 0,
             rg = explore(net, m0, limits)
             if graphs is not None:
                 graphs[net, m0] = rg
-            hc = homecluster.find_home_clusters(net, m0, limits, method="direct", rg=rg)
-            if hc.home_clusters:
-                try:
-                    ring = homecluster.short_circuit(net, hc.home_clusters[0], m0)
+            # the first home cluster, as the direct method reads it off rg
+            home = next((c for c in net.clusters() if rg.is_home(mrk(c))),
+                        None) if rg.complete else None
+            if home is not None:
+                try:  # the cleaned net stays on net, for the suite's cluster walk
+                    ring = homecluster.short_circuit(net, home, m0)
                 except (CleanedNetInvalid, ClusterNotConnected):
                     continue
                 out.append((f"{name}-ring", ring.net, m0))

@@ -77,9 +77,20 @@ def clean(net: PetriNet, m0: Marking) -> PetriNet:
     dropped would shrink its preset and *add* behavior, so the restriction
     is to :func:`support_closure`, where every kept transition keeps its
     whole preset.  Returns ``net`` itself when nothing is dropped; raises
-    when the leftovers no longer form a valid net.
+    when the leftovers no longer form a valid net.  The result is kept on
+    ``net`` for the last ``m0`` it was cleaned with (a failure as its message).
     """
-    return _restrict(net, support_closure(net, m0))
+    last = net._cleaned
+    if last is None or last[0] != m0:
+        try:
+            cleaned = _restrict(net, support_closure(net, m0))
+        except CleanedNetInvalid as exc:
+            net._cleaned = (m0, str(exc))
+            raise
+        net._cleaned = last = (m0, None if cleaned is net else cleaned)  # no cycle through net
+    elif isinstance(last[1], str):
+        raise CleanedNetInvalid(last[1])
+    return last[1] or net
 
 
 def _restrict(net: PetriNet, keep: FrozenSet[str]) -> PetriNet:
@@ -121,16 +132,17 @@ def _attach_ring(cleaned: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircu
 
 
 def short_circuit(net: PetriNet, cluster: Cluster, m0: Marking) -> ShortCircuitResult:
-    """Clean the net, then add a fresh transition consuming the cluster's
-    places and reproducing the initial marking."""
+    """Clean the net (:func:`clean`, which keeps the result on ``net``),
+    then add a fresh transition consuming the cluster's places and
+    reproducing the initial marking."""
     if not m0.is_safe():
         raise RequiresSafeMarking("short-circuiting needs a safe initial marking")
-    kept = support_closure(net, m0)
-    missing = sorted(set(cluster.nodes()) - kept)
+    cleaned = clean(net, m0)
+    missing = sorted(set(cluster.nodes()).difference(cleaned.nodes()))
     if missing:
         raise ClusterNotConnected(
             f"cluster does not survive cleaning; dropped nodes: {missing}")
-    return _attach_ring(_restrict(net, kept), cluster, m0)
+    return _attach_ring(cleaned, cluster, m0)
 
 
 def _short_circuit_applies(net: PetriNet, m0: Marking) -> bool:

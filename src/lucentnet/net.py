@@ -135,11 +135,16 @@ class PetriNet:
     appends to, in arc order, and no list is changed afterwards: the
     readers in this package iterate them or test them as sets, and
     :meth:`preset`/:meth:`postset` build a frozenset per call.
+
+    Derived facts are computed on first use and kept on the net: clusters,
+    the :class:`Compiled` form, :func:`is_free_choice`, :func:`is_proper`,
+    :func:`connectivity` and the last ``homecluster.clean`` result.
     """
 
     __slots__ = ("places", "transitions", "flow", "_pre", "_post", "_nodes",
                  "_place_set", "_transition_set", "_compiled",
-                 "_clusters", "_cluster_of")
+                 "_clusters", "_cluster_of", "_free_choice", "_proper",
+                 "_connectivity", "_cleaned")
 
     def __init__(self, places: Iterable[str], transitions: Iterable[str],
                  arcs: Iterable[Arc]):
@@ -205,6 +210,7 @@ class PetriNet:
         self._compiled: Optional[Compiled] = None  # built on first use
         self._clusters: Optional[Tuple[Cluster, ...]] = None
         self._cluster_of: Optional[Dict[str, Cluster]] = None
+        self._free_choice = self._proper = self._connectivity = self._cleaned = None
 
     def with_transition(self, fresh: str, inputs: Sequence[str],
                         outputs: Sequence[str]) -> "PetriNet":
@@ -237,6 +243,7 @@ class PetriNet:
         for p in outputs:
             pre[p] = pre[p] + [fresh]
         net._compiled = net._clusters = net._cluster_of = None
+        net._free_choice = net._proper = net._connectivity = net._cleaned = None
         return net
 
     # -- identity ---------------------------------------------------------
@@ -471,16 +478,23 @@ def is_free_choice(net: PetriNet) -> bool:
     Read off the clusters: a net is free-choice exactly when each
     transition takes from every place of its cluster (Desel & Esparza,
     *Free Choice Petri Nets*, 1995).  A transition's inputs lie in its
-    cluster and a preset holds no repeat, so the sizes decide.
+    cluster and a preset holds no repeat, so the sizes decide.  Computed
+    once per net and kept on it.
     """
-    pre = net._pre
-    return all(len(pre[t]) == len(c.places) for c in net.clusters() for t in c.transitions)
+    if net._free_choice is None:
+        pre = net._pre
+        net._free_choice = all(len(pre[t]) == len(c.places)
+                               for c in net.clusters() for t in c.transitions)
+    return net._free_choice
 
 
 def is_proper(net: PetriNet) -> bool:
-    """Every transition has at least one input and one output place."""
-    pre, post = net._pre, net._post
-    return all(pre[t] and post[t] for t in net.transitions)
+    """Every transition has at least one input and one output place.
+    Computed once per net and kept on it."""
+    if net._proper is None:
+        pre, post = net._pre, net._post
+        net._proper = all(pre[t] and post[t] for t in net.transitions)
+    return net._proper
 
 
 def _reachable(starts: Iterable[str], *steps: Mapping[str, Iterable[str]]) -> set:
@@ -500,13 +514,14 @@ def connectivity(net: PetriNet) -> str:
     """``"strong"`` iff every ordered node pair is path-connected, else ``"weak"``.
 
     Weak connectedness is a construction invariant, so those are the only
-    two possible answers.
+    two possible answers.  Computed once per net and kept on it.
     """
-    start = net.nodes()[0]
-    n = len(net.nodes())
-    if len(_reachable([start], net._post)) == n and len(_reachable([start], net._pre)) == n:
-        return "strong"
-    return "weak"
+    if net._connectivity is None:
+        start, n = net._nodes[0], len(net._nodes)
+        strong = (len(_reachable([start], net._post)) == n
+                  and len(_reachable([start], net._pre)) == n)
+        net._connectivity = "strong" if strong else "weak"
+    return net._connectivity
 
 
 def net_class(net: PetriNet) -> str:

@@ -145,7 +145,7 @@ def find_rooted_path(net: PetriNet, m0: Marking, place: str, cluster,
         net.postset(place)  # NodeNotFound for a node outside the net
         raise InvalidPath("path must start at a place")
     rg = rg or explore(net, m0, limits)
-    if not any(place in m for m in rg.states):
+    if place not in rg.marked_places():
         if not rg.complete:
             raise UndecidedError("deadness of the start place is unknown (exploration incomplete)")
         return RootedPathResult(None, reason="dead-place")
@@ -181,14 +181,15 @@ def verify_path_safety(net: PetriNet, m0: Marking, path,
                        limits: Optional[ExplorationLimits] = None,
                        rg: Optional[ReachabilityGraph] = None) -> Verdict:
     """All the path's places together hold at most one token in every
-    reachable marking; witness = first violating marking.  A raw node
-    sequence must be a path of the net (:meth:`Path.of`)."""
+    reachable marking; witness = first violating marking, the only state
+    decoded (:meth:`ReachabilityGraph.crowded` scans the packed states).  A
+    raw node sequence must be a path of the net (:meth:`Path.of`)."""
     nodes = (path if isinstance(path, Path) else Path.of(net, path)).nodes
-    places = {x for x in nodes if net.is_place(x)}
+    places = [x for x in nodes if net.is_place(x)]
     rg = rg or explore(net, m0, limits)
-    for m in rg.states:
-        if m.total(places) > 1:
-            return Verdict(False, witness=m)
+    first = rg.crowded(places)
+    if first is not None:
+        return Verdict(False, witness=rg.marking(first))
     if not rg.complete:
         return Verdict(None, reason=rg.verdict)
     return Verdict(True)

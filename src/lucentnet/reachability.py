@@ -50,7 +50,7 @@ from array import array
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, count, islice
 from operator import or_
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -101,8 +101,9 @@ class Verdict:
 
 class ReachabilityGraph:
     """Explored markings plus transition-labeled edges, and the facts
-    derived from them: enabled sets, SCCs and home markings, each computed
-    at most once.
+    derived from them: enabled sets, SCCs, home markings, liveness, the
+    marked places, and the verdicts of :func:`bound_k` and
+    :func:`is_deadlock_free`, each computed at most once.
 
     The graph keeps what the search wrote: the packed states, index dict,
     token counts (``sizes``), every state's enabled mask (bit t for
@@ -138,6 +139,9 @@ class ReachabilityGraph:
         self._components: Optional[tuple] = None  # (sccs, terminal sccs)
         self._home: Optional[FrozenSet[int]] = None
         self._live: Optional[Verdict] = None
+        self._deadlock: Optional[Verdict] = None
+        self._bound: Optional[BoundednessResult] = None
+        self._marked: Optional[FrozenSet[str]] = None
 
     @property
     def complete(self) -> bool:
@@ -170,6 +174,29 @@ class ReachabilityGraph:
         if (a.places, a.width) == (b.places, b.width):
             return self._index.keys() == other._index.keys()
         return set(self.states) == set(other.states)
+
+    def marked_places(self) -> FrozenSet[str]:
+        """The places some explored state marks: the non-zero fields of the
+        OR of all packed states.  Computed once."""
+        if self._marked is None:
+            lay = self._layout
+            self._marked = frozenset(map(lay.places.__getitem__,
+                                         lay.marked(reduce(or_, self._packed))))
+        return self._marked
+
+    def crowded(self, places) -> Optional[int]:
+        """The first state holding more than one token on ``places`` (places
+        of the net) together, or None.  At width 1 that is a popcount of the
+        state masked to their fields; wider fields are read one by one."""
+        lay = self._layout
+        at = {lay.index[p] * lay.field for p in places}
+        if lay.width == 1:
+            mask = sum(1 << k for k in at)
+            crowds = map((1).__lt__, map(int.bit_count, map(mask.__and__, self._packed)))
+            return next(compress(count(), crowds), None)
+        full = (1 << lay.width) - 1
+        return next((i for i, s in enumerate(self._packed)
+                     if sum((s >> k) & full for k in at) > 1), None)
 
     def covers(self, i: int, j: int) -> bool:
         """Every count of state ``i`` is at least state ``j``'s."""
@@ -588,8 +615,15 @@ class BoundednessResult:
 def bound_k(net: PetriNet, m0: Marking,
             limits: Optional[ExplorationLimits] = None,
             rg: Optional[ReachabilityGraph] = None) -> BoundednessResult:
-    """Smallest per-place token bound over all reachable markings."""
+    """Smallest per-place token bound over all reachable markings,
+    computed once per graph and kept on it."""
     rg = rg or explore(net, m0, limits)
+    if rg._bound is None:
+        rg._bound = _bound(rg)
+    return rg._bound
+
+
+def _bound(rg: ReachabilityGraph) -> BoundednessResult:
     if rg.verdict == UNBOUNDED:
         return BoundednessResult("unbounded", witness=rg.unbounded_witness)
     if rg.verdict == TRUNCATED:
@@ -625,9 +659,8 @@ def is_live(net, m0, limits=None, rg=None) -> Verdict:
 
 
 def dead_places(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
-    """Places never marked in any explored state: the zero fields of the OR of all states."""
-    marked = {rg.net.places[i] for i in rg._layout.marked(reduce(or_, rg._packed))}
-    return tuple(sorted(set(net.places) - marked))
+    """Places never marked in any explored state (see :meth:`ReachabilityGraph.marked_places`)."""
+    return tuple(sorted(set(net.places) - rg.marked_places()))
 
 
 def dead_transitions(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
@@ -637,7 +670,14 @@ def dead_transitions(net: PetriNet, rg: ReachabilityGraph) -> Tuple[str, ...]:
 
 def is_deadlock_free(net: PetriNet, rg: ReachabilityGraph) -> Verdict:
     """No reachable marking with an empty enabled set; the witness carries
-    the dead markings found (in state order)."""
+    the dead markings found (in state order).  Computed once per graph and
+    kept on it."""
+    if rg._deadlock is None:
+        rg._deadlock = _deadlock(rg)
+    return rg._deadlock
+
+
+def _deadlock(rg: ReachabilityGraph) -> Verdict:
     dead = tuple(rg.marking(i) for i, mask in enumerate(rg.masks()) if not mask)
     if dead:
         return Verdict(False, witness=dead)

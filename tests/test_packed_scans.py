@@ -306,11 +306,13 @@ def test_same_states_matches_decoded_sets():
 
 
 def test_paper_suite_decodes_few_states(monkeypatch, capsys):
-    # 269 decodes before the detection equivalence compared packed states
+    # 269 decodes before the detection equivalence compared packed states,
+    # 155 before the rooted-path row read them and the reference
+    # expectations read the suite's verdicts
     decoded = []
     decode = reachability._Layout.marking
     monkeypatch.setattr(reachability._Layout, "marking",
                         lambda layout, s: decoded.append(s) or decode(layout, s))
     assert main(["paper-suite", "--random", "30", "--seed", "123456", "--format", "json"]) == 0
     capsys.readouterr()
-    assert 0 < len(decoded) <= 160
+    assert 0 < len(decoded) <= 123

@@ -137,11 +137,15 @@ def test_find_home_clusters_builds_each_cluster_marking_once(n5, monkeypatch):
 
 
 def test_find_home_clusters_closes_support_once(n5, monkeypatch):
+    # a fresh copy of n5: the cleaned net stays on the net it was made of
+    net = PetriNet(n5.net.places, n5.net.transitions, n5.net.flow)
     calls = []
     original = homecluster.support_closure
     monkeypatch.setattr(homecluster, "support_closure",
                         lambda net, m0: calls.append(1) or original(net, m0))
-    find_home_clusters(n5.net, n5.initial, method="both")
+    find_home_clusters(net, n5.initial, method="both")
+    assert len(calls) == 1
+    find_home_clusters(net, n5.initial, method="both")
     assert len(calls) == 1
 
 

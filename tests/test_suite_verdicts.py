@@ -1,7 +1,10 @@
-"""The theorem suite computes each verdict of a net once, and every row
-reads it.  The strongly-connected and perpetual rows read the suite's own
-verdicts; the from-scratch check in ``tests/ring_oracle.py`` and the public
-:func:`is_perpetual` are their oracles."""
+"""The theorem suite computes each verdict of a distinct net once, and every
+row reads it: ``paper-suite`` checks each distinct ``(net, m0)`` once, its
+reference expectations read the suite's verdicts, and the structural facts
+stay on the net or graph they were computed on.  The strongly-connected and
+perpetual rows read the suite's own verdicts; the from-scratch check in
+``tests/ring_oracle.py`` and the public :func:`is_perpetual` are their
+oracles."""
 
 import sys
 from collections import Counter
@@ -9,23 +12,35 @@ from collections import Counter
 import pytest
 
 from lucentnet import (ExplorationLimits, all_reference_nets, bound_k, check_lucency,
-                       is_free_choice, is_fully_transparent, is_perpetual,
-                       run_theorem_suite, suite_nets, verify_reference_net)
+                       is_deadlock_free, is_free_choice, is_fully_transparent,
+                       is_perpetual, is_proper, run_theorem_suite, suite_nets,
+                       support_closure, verify_reference_net)
+from lucentnet import homecluster
+from lucentnet.cli import main
 from ring_oracle import check_strongly_connected_home_cluster
 
 
-def _key(net, m0):
+def _key(net, m0=None):
     return net.places, net.transitions, net.flow, m0
 
 
 def _count_calls(monkeypatch, *functions):
     """Count calls per (function name, net, m0), wrapping each function in
     every lucentnet module that binds it."""
+    return _count_computations(monkeypatch, *((f, _key, None) for f in functions))
+
+
+def _count_computations(monkeypatch, *counted):
+    """Count per (function name, key) the calls that compute: each entry is
+    ``(function, key of its arguments, kept)``, and a call counts unless
+    ``kept(*args)`` says its net or graph holds the fact already.  Each
+    function is wrapped in every lucentnet module that binds it."""
     counts = Counter()
-    for original in functions:
-        def counting(net, m0, *args, _original=original, **kwargs):
-            counts[_original.__name__, _key(net, m0)] += 1
-            return _original(net, m0, *args, **kwargs)
+    for original, key, kept in counted:
+        def counting(*args, _original=original, _key=key, _kept=kept, **kwargs):
+            if _kept is None or not _kept(*args, **kwargs):
+                counts[_original.__name__, _key(*args[:2])] += 1
+            return _original(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if module is not None and (name == "lucentnet" or name.startswith("lucentnet.")):
@@ -35,15 +50,44 @@ def _count_calls(monkeypatch, *functions):
     return counts
 
 
-def test_paper_suite_computes_each_verdict_once_per_net(monkeypatch):
+def _kept(holder, slot):
+    """``holder`` (a net or graph) keeps the fact in ``slot`` already."""
+    return getattr(holder, slot, None) is not None
+
+
+def _graph_key(net, rg):
+    return _key(net, rg.marking(0))
+
+
+def test_paper_suite_computes_each_verdict_once_per_net(monkeypatch, capsys):
+    all_reference_nets()  # built once, before counting: their checkpoints are not the suite's
     nets = suite_nets(60, seed=0)
-    # two suite nets with different names may be the same net; each is checked
-    entries = Counter(_key(net, m0) for _, net, m0 in nets)
-    counts = _count_calls(monkeypatch, check_lucency, bound_k)
-    run_theorem_suite(nets)
-    assert sum(n for (name, _), n in counts.items() if name == "check_lucency") == len(nets)
-    assert any(name == "bound_k" for name, _ in counts)
-    assert [(name, key) for (name, key), n in counts.items() if n > entries[key]] == []
+    distinct = {_key(net, m0) for _, net, m0 in nets}
+    assert len(distinct) < len(nets)  # rand-1-narrow-ring and rand-5-narrow-ring are one net
+    # a fact of the net alone (m0 None) is computed at most once per initial
+    # marking the suite gives that net, and once for a net it only judges
+    markings = Counter(key[:3] for key in distinct)
+
+    def allowed(key):
+        return max(1, markings[key[:3]]) if key[3] is None else 1
+
+    counts = _count_computations(
+        monkeypatch,
+        (check_lucency, _key, None),
+        (homecluster._cluster_walk, _key, None),
+        (support_closure, _key, None),
+        (bound_k, _key, lambda net, m0, limits=None, rg=None: _kept(rg, "_bound")),
+        (is_deadlock_free, _graph_key, lambda net, rg: _kept(rg, "_deadlock")),
+        (is_free_choice, _key, lambda net: _kept(net, "_free_choice")),
+        (is_proper, _key, lambda net: _kept(net, "_proper")))
+    assert main(["paper-suite", "--random", "60", "--seed", "0", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert [(name, key) for (name, key), n in counts.items() if n > allowed(key)] == []
+    for name in ("check_lucency", "_cluster_walk"):
+        assert {key for (f, key) in counts if f == name} == distinct, name
+    assert {f for f, _ in counts} == {"check_lucency", "_cluster_walk", "support_closure",
+                                      "bound_k", "is_deadlock_free", "is_free_choice",
+                                      "is_proper"}
 
 
 def test_reference_check_computes_each_verdict_once(monkeypatch):
